@@ -130,9 +130,11 @@ fn bench_fig06_to_08_schemes(c: &mut Criterion) {
 
 fn bench_fig09_qos(c: &mut Criterion) {
     let cfg = small_scenario();
-    let (trace, topo) = build_world(&cfg);
-    let base = insomnia_core::run_scheme_on(&cfg, SchemeSpec::no_sleep(), &trace, &topo);
-    let soi = insomnia_core::run_scheme_on(&cfg, SchemeSpec::soi(), &trace, &topo);
+    let world = insomnia_core::ShardedWorld::lazy(&cfg, cfg.seed);
+    let threads = insomnia_simcore::default_threads();
+    let run = |spec| insomnia_core::run_scheme_sharded(&cfg, spec, &world, cfg.seed, threads);
+    let base = run(SchemeSpec::no_sleep());
+    let soi = run(SchemeSpec::soi());
     c.bench_function("fig09/completion_variation_cdf", |b| {
         b.iter(|| black_box(insomnia_core::completion_variation_cdf(&soi, &base)))
     });

@@ -1,7 +1,8 @@
 //! Eager-vs-streaming benchmark: trace generation throughput (flows/s),
 //! driver event throughput (events/s), and the two hot-path microbenches
-//! behind them — queue backend (binary heap vs calendar) and k-way merge
-//! (binary heap vs loser tree) — on one reduced dense-metro shard.
+//! behind them — the event queue under hold-model churn and the k-way
+//! merge (the historical 16-byte-entry heap vs the packed heap) — on one
+//! reduced dense-metro shard.
 //!
 //! Run with `cargo bench -p insomnia-bench --bench streaming`. Besides the
 //! usual stderr table, the bench appends a snapshot to
@@ -15,12 +16,12 @@
 //! likewise prebuilt outside the timed loop.
 
 use insomnia_core::{
-    build_world_shard, build_world_shard_streaming, run_single, run_single_streaming,
-    ScenarioConfig, SchemeSpec,
+    build_world_shard, build_world_shard_streaming, run_single, run_single_source_threads,
+    ArrivalSource, ScenarioConfig, SchemeSpec,
 };
-use insomnia_simcore::{EventQueue, SimRng, SimTime, SplitMix64};
+use insomnia_simcore::{default_threads, EventQueue, SimRng, SimTime, SplitMix64};
 use insomnia_traffic::crawdad::{generate_eager, CrawdadConfig};
-use insomnia_traffic::merge::{LoserTree, PackedHeap, EXHAUSTED, HEAP_MIN_LANES};
+use insomnia_traffic::merge::{PackedHeap, EXHAUSTED};
 use insomnia_traffic::FlowStream;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
@@ -92,7 +93,7 @@ fn time_alternating(
     mins.into_iter().zip(works).collect()
 }
 
-/// Queue-backend microbench: the classic DES *hold model* — seed `live`
+/// Queue microbench: the classic DES *hold model* — seed `live`
 /// pending events, then `holds` cycles of pop-min + push a successor at a
 /// pseudorandom offset — on a prebuilt [`EventQueue`]. This isolates pure
 /// queue churn from everything else the driver does.
@@ -128,8 +129,8 @@ fn merge_lanes(k: usize, per_lane: usize) -> Vec<Vec<SimTime>> {
 }
 
 /// Bursty variant: each lane emits tight ~32-entry runs separated by long
-/// jumps, so one lane keeps winning for stretches — the regime the loser
-/// tree's cached winner threshold was built for.
+/// jumps, so one lane keeps winning for stretches — the shape of a narrow
+/// merge over few bursty client cursors.
 fn merge_lanes_bursty(k: usize, per_lane: usize) -> Vec<Vec<SimTime>> {
     let mut mix = SplitMix64::new(0xb417);
     (0..k)
@@ -145,7 +146,7 @@ fn merge_lanes_bursty(k: usize, per_lane: usize) -> Vec<Vec<SimTime>> {
         .collect()
 }
 
-/// K-way merge via the pre-loser-tree shape: a `BinaryHeap` of
+/// K-way merge via the historical shape: a `BinaryHeap` of
 /// `(Reverse(key), Reverse(lane))` entries paying one pop *and* one push
 /// per merged element.
 fn merge_heap(lanes: &[Vec<SimTime>]) -> f64 {
@@ -167,29 +168,9 @@ fn merge_heap(lanes: &[Vec<SimTime>]) -> f64 {
     merged as f64
 }
 
-/// The same merge through [`LoserTree`]: one leaf-to-root replay per
-/// merged element.
-fn merge_loser_tree(lanes: &[Vec<SimTime>]) -> f64 {
-    let mut pos = vec![0usize; lanes.len()];
-    let keys: Vec<SimTime> = lanes.iter().map(|l| l[0]).collect();
-    let mut tree = LoserTree::new(&keys);
-    let mut merged = 0u64;
-    let mut last = SimTime::ZERO;
-    while tree.winner_key() != EXHAUSTED {
-        let w = tree.winner();
-        debug_assert!(tree.winner_key() >= last);
-        last = tree.winner_key();
-        merged += 1;
-        pos[w] += 1;
-        tree.update(w, lanes[w].get(pos[w]).copied().unwrap_or(EXHAUSTED));
-    }
-    merged as f64
-}
-
-/// The same merge through [`PackedHeap`] — the wide-merge backend
-/// [`insomnia_traffic::merge::TournamentMerge`] picks past
-/// [`HEAP_MIN_LANES`] lanes: same packed `u64` entries as the tree, one
-/// pop + push per merged element.
+/// The same merge through [`PackedHeap`] — the merge behind
+/// [`FlowStream`]: packed `u64` entries, one pop + push per merged
+/// element.
 fn merge_packed_heap(lanes: &[Vec<SimTime>]) -> f64 {
     let mut pos = vec![0usize; lanes.len()];
     let keys: Vec<SimTime> = lanes.iter().map(|l| l[0]).collect();
@@ -347,7 +328,7 @@ fn main() {
 
     // Driver event throughput: prebuilt trace vs prebuilt streamed world,
     // the stream cloned per run exactly like a repetition re-run — which
-    // is what `run_scheme_shards` does for multi-repetition lazy worlds:
+    // is what `run_scheme_sharded` does for multi-repetition worlds:
     // one prototype per shard, replay cache enabled, cloned per
     // repetition. The warm-up drain records; timed drains replay it, so
     // this row measures what repetitions 2..n actually pay (repetition 1's
@@ -361,17 +342,22 @@ fn main() {
             5,
             &mut [
                 &mut || {
-                    run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(1)).events as f64
+                    let r = run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(1));
+                    r.counters.delivered() as f64
                 },
                 &mut || {
-                    run_single_streaming(
+                    let arrivals = ArrivalSource::Stream(Box::new(stream.clone()));
+                    let soi = SchemeSpec::soi();
+                    let threads = default_threads();
+                    let r = run_single_source_threads(
                         &cfg,
-                        SchemeSpec::soi(),
-                        stream.clone(),
+                        soi,
+                        arrivals,
                         &stopo,
                         SimRng::new(1),
-                    )
-                    .events as f64
+                        threads,
+                    );
+                    r.counters.delivered() as f64
                 },
             ],
         );
@@ -382,66 +368,45 @@ fn main() {
         }
     }
 
-    // Queue-backend microbench: identical hold-model churn on both
-    // backends, sized at calendar scale (the driver picks the calendar
-    // only past ~65k expected peak occupancy).
+    // Queue microbench: hold-model churn at 10^5 live events.
     if wanted("queue") {
         let (live, holds) = (100_000u64, 500_000u64);
-        let timed = time_alternating(
-            3,
-            2,
-            &mut [&mut || queue_hold(EventQueue::new(), live, holds), &mut || {
-                queue_hold(EventQueue::new_calendar(), live, holds)
-            }],
-        );
-        for (name, (mean_s, _)) in ["queue/binary_heap", "queue/calendar"].into_iter().zip(timed) {
+        let timed =
+            time_alternating(3, 2, &mut [&mut || queue_hold(EventQueue::new(), live, holds)]);
+        for (name, (mean_s, _)) in ["queue/binary_heap"].into_iter().zip(timed) {
             rows.push(Row { name: name.into(), unit: "holds/s", work: holds as f64, mean_s });
         }
     }
 
-    // Merge microbench: the stream's historical 16-byte-entry heap merge,
-    // its loser tree, and the packed-entry heap backend, over identical
-    // sorted lanes (1600 lanes — one per dense-metro client).
+    // Merge microbench: the stream's historical 16-byte-entry heap merge
+    // and the packed-entry heap, over identical sorted lanes (1600 lanes —
+    // one per dense-metro client).
     if wanted("merge") {
         let lanes = merge_lanes(1_600, 400);
         let timed = time_alternating(
             3,
             2,
-            &mut [&mut || merge_heap(&lanes), &mut || merge_loser_tree(&lanes), &mut || {
-                merge_packed_heap(&lanes)
-            }],
+            &mut [&mut || merge_heap(&lanes), &mut || merge_packed_heap(&lanes)],
         );
         for (name, (mean_s, merged)) in
-            ["merge/binary_heap", "merge/loser_tree", "merge/packed_heap"].into_iter().zip(timed)
+            ["merge/binary_heap", "merge/packed_heap"].into_iter().zip(timed)
         {
             rows.push(Row { name: name.into(), unit: "pops/s", work: merged, mean_s });
         }
-        // Crossover sweep: identical total pops at several lane counts,
-        // interleaved and bursty lane shapes, to locate where the packed
-        // heap overtakes the tree — the measured basis of HEAP_MIN_LANES
-        // (asserted to sit inside the sweep).
-        const { assert!(HEAP_MIN_LANES >= 16 && HEAP_MIN_LANES <= 1_024) };
+        // Lane-count sweep: identical total pops at several lane counts,
+        // on interleaved and bursty lane shapes.
         for k in [16usize, 64, 256, 1_024] {
             let mixed = merge_lanes(k, 640_000 / k);
             let bursty = merge_lanes_bursty(k, 640_000 / k);
             let timed = time_alternating(
                 3,
                 2,
-                &mut [
-                    &mut || merge_loser_tree(&mixed),
-                    &mut || merge_packed_heap(&mixed),
-                    &mut || merge_loser_tree(&bursty),
-                    &mut || merge_packed_heap(&bursty),
-                ],
+                &mut [&mut || merge_packed_heap(&mixed), &mut || merge_packed_heap(&bursty)],
             );
-            for (name, (mean_s, merged)) in [
-                format!("merge/loser_tree_k{k}"),
-                format!("merge/packed_heap_k{k}"),
-                format!("merge/loser_tree_bursty_k{k}"),
-                format!("merge/packed_heap_bursty_k{k}"),
-            ]
-            .into_iter()
-            .zip(timed)
+            for (name, (mean_s, merged)) in
+                [format!("merge/packed_heap_k{k}"), format!("merge/packed_heap_bursty_k{k}")]
+                    .into_iter()
+                    .zip(timed)
             {
                 rows.push(Row { name, unit: "pops/s", work: merged, mean_s });
             }
@@ -465,7 +430,7 @@ fn main() {
     match write_snapshot(
         path,
         &cfg,
-        "shard-major proto cache + merge backend by k + cached gap thresholds",
+        "one event queue (binary heap) and one merge (packed heap)",
         &rows,
     ) {
         Ok(()) => println!("appended snapshot to {path}"),

@@ -7,10 +7,9 @@
 
 use insomnia_access::{p_card_sleeps, PowerModel};
 use insomnia_core::{
-    build_sharded_world, build_world, completion_variation_cdf, density_sweep, hourly_means,
-    isp_share_percent_series, online_time_variation_cdf, run_scheme_sharded, run_testbed,
-    savings_percent_series, summarize, FigureData, ScenarioConfig, SchemeResult, SchemeSpec,
-    TestbedConfig, WorldModel,
+    build_world, completion_variation_cdf, density_sweep, hourly_means, isp_share_percent_series,
+    online_time_variation_cdf, run_scheme_sharded, run_testbed, savings_percent_series, summarize,
+    FigureData, ScenarioConfig, SchemeResult, SchemeSpec, ShardedWorld, TestbedConfig, WorldModel,
 };
 use insomnia_dslphy::{sample_attenuations, AttenuationConfig, BundleConfig, CrosstalkExperiment};
 use insomnia_simcore::{Cdf, SimRng, SimTime};
@@ -78,13 +77,13 @@ pub struct MainRuns {
 /// Runs every scheme of the main scenario once (the expensive step; reuse
 /// the result for all dependent figures).
 ///
-/// The world is built through the sharded path, so a registry preset with
+/// The world runs through the sharded path, so a registry preset with
 /// a `shards` axis (e.g. `dense-metro`) drives the exact same figure
 /// pipeline as the paper's single-DSLAM scenario — per-shard results are
 /// merged before any series math happens.
 pub fn run_main(h: &Harness) -> MainRuns {
     let cfg = &h.scenario;
-    let world = build_sharded_world(cfg);
+    let world = ShardedWorld::lazy(cfg, cfg.seed);
     let threads = insomnia_simcore::default_threads();
     let run = |spec| run_scheme_sharded(cfg, spec, &world, cfg.seed, threads);
     MainRuns {
@@ -487,7 +486,7 @@ pub fn cards_table(runs: &MainRuns) -> FigureData {
 /// descents (0 for the policies that sleep straight to the deepest level).
 pub fn doze_table(h: &Harness) -> FigureData {
     let cfg = &h.scenario;
-    let world = build_sharded_world(cfg);
+    let world = ShardedWorld::lazy(cfg, cfg.seed);
     let threads = insomnia_simcore::default_threads();
     let run = |spec| run_scheme_sharded(cfg, spec, &world, cfg.seed, threads);
     let base_user_w = cfg.power.no_sleep_user_w(world.n_gateways());

@@ -1,11 +1,11 @@
 //! The trace-driven simulation driver (§5.1's methodology).
 //!
-//! One [`run_single`] call simulates one 24-hour day of one scheme over one
-//! trace + topology, producing per-second metric series, per-flow
-//! completion times, per-gateway online times and the energy breakdown.
-//! [`run_scheme`] repeats it `cfg.repetitions` times with independent
-//! algorithmic randomness and averages the series, exactly as the paper
-//! averages its 10 runs.
+//! One [`run_single_source_threads`] call simulates one 24-hour day of one
+//! scheme over one trace + topology, producing per-second metric series,
+//! per-flow completion times, per-gateway online times and the energy
+//! breakdown. [`run_scheme_sharded`] repeats it `cfg.repetitions` times per
+//! shard of a [`ShardedWorld`] with independent algorithmic randomness and
+//! averages the series, exactly as the paper averages its 10 runs.
 //!
 //! Event zoo: flow arrivals from the trace; flow departures from the
 //! processor-sharing engine; gateway wake completions; SoI idle checks;
@@ -130,7 +130,7 @@ struct PendingFlow {
 /// upcoming distributed shard fan-out will version its worker records the
 /// same way. Bump whenever [`RunResult`] (or anything it embeds —
 /// [`CompletionStats`], sketches, counters) changes shape.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Diagnostic counters of one run (wake causes and BH2 decision mix) —
 /// the observability needed to understand a scheme's equilibrium.
@@ -183,21 +183,11 @@ pub struct RunResult {
     pub wake_counts: Vec<u64>,
     /// Wake-cause and decision counters.
     pub stats: DriverStats,
-    /// Scheduler events delivered during the run (telemetry; summed when
-    /// shards are merged).
-    pub events: u64,
-    /// Largest scheduler-heap occupancy observed at any event delivery
-    /// (telemetry; max over shards when merged). With streaming arrivals
-    /// this stays O(active flows + timers + 1) — the old driver's value
-    /// was O(total trace flows).
-    pub peak_heap: usize,
-    /// Largest number of concurrently active (arrived, not yet completed)
-    /// flows (telemetry; max over shards when merged).
-    pub peak_active_flows: usize,
-    /// Deterministic work counters of the run — per-kind delivered events,
-    /// cancellations, heap traffic, flow totals and streaming-generator
-    /// work. A pure function of the delivered sequence, byte-identical at
-    /// any thread count (`counters.delivered() == events`).
+    /// Deterministic work counters of the run — per-kind delivered events
+    /// (`delivered()`), cancellations, heap traffic and peak occupancy,
+    /// peak active flows, flow totals and streaming-generator work. A pure
+    /// function of the delivered sequence, byte-identical at any thread
+    /// count.
     pub counters: RunCounters,
 }
 
@@ -477,7 +467,8 @@ impl World<'_> {
 }
 
 /// Simulates one day of one scheme over a materialized trace.
-/// Deterministic in `(cfg, spec, trace, topo, rng)`.
+/// Deterministic in `(cfg, spec, trace, topo, rng)`. The Optimal scheme's
+/// pre-solve fan-out uses [`default_threads`].
 pub fn run_single(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
@@ -485,41 +476,22 @@ pub fn run_single(
     topo: &Topology,
     rng: SimRng,
 ) -> RunResult {
-    run_single_source(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng)
+    run_single_source_threads(
+        cfg,
+        spec,
+        ArrivalSource::Slice(&trace.flows),
+        topo,
+        rng,
+        default_threads(),
+    )
 }
 
-/// Simulates one day of one scheme, pulling arrivals straight from a
-/// [`FlowStream`] — no flow vector ever exists; per-run trace memory is
-/// O(clients + active flows). Bit-identical to [`run_single`] over the
-/// stream's collected trace (asserted by `tests/streaming.rs`).
-pub fn run_single_streaming(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    stream: FlowStream,
-    topo: &Topology,
-    rng: SimRng,
-) -> RunResult {
-    run_single_source(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng)
-}
-
-/// The driver proper, generic over the arrival feed. The Optimal scheme's
-/// pre-solve fan-out uses [`default_threads`]; see
-/// [`run_single_source_threads`] to cap it (results never depend on it).
-pub fn run_single_source(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    arrivals: ArrivalSource<'_>,
-    topo: &Topology,
-    rng: SimRng,
-) -> RunResult {
-    run_single_source_threads(cfg, spec, arrivals, topo, rng, default_threads())
-}
-
-/// [`run_single_source`] with an explicit thread cap for the Optimal
-/// scheme's pre-solve fan-out (every other scheme ignores it). The fan-out
-/// is index-addressed and the event loop consumes its outputs strictly in
-/// tick order, so the result is byte-identical at any `solve_threads` —
-/// asserted by `tests/determinism.rs` at 1 vs 8.
+/// The driver proper, generic over the arrival feed, with an explicit
+/// thread cap for the Optimal scheme's pre-solve fan-out (every other
+/// scheme ignores it). The fan-out is index-addressed and the event loop
+/// consumes its outputs strictly in tick order, so the result is
+/// byte-identical at any `solve_threads` — asserted by
+/// `tests/determinism.rs` at 1 vs 8.
 pub fn run_single_source_threads(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
@@ -660,12 +632,7 @@ pub fn run_single_source_threads(
         rng,
     };
 
-    // Worst-case queue occupancy: one cursor arrival, plus per-gateway
-    // departure/idle/wake timers, plus one BH2 tick per client, plus the
-    // sampler and solver ticks. The hint picks the queue backend up front
-    // (the calendar queue only for very large worlds — every existing
-    // preset stays far below the threshold, on the binary heap).
-    let mut sched: Scheduler<Ev> = Scheduler::with_queue_hint(3 * n_gw + topo.n_clients() + 4);
+    let mut sched: Scheduler<Ev> = Scheduler::new();
     // Prime the arrival cursor: the Optimal demand sweep drains it
     // tick-by-tick, every other scheme fires it as front-lane `Arrival`
     // events one at a time.
@@ -728,9 +695,6 @@ pub fn run_single_source_threads(
         gateway_online_s: world.gateways.iter().map(|g| g.online_seconds()).collect(),
         wake_counts: world.gateways.iter().map(|g| g.wake_count()).collect(),
         stats: world.stats,
-        events: sched.delivered(),
-        peak_heap: world.peak_heap,
-        peak_active_flows: world.peak_active,
         counters,
     }
 }
@@ -1107,12 +1071,9 @@ pub struct SchemeResult {
     pub online_time: Vec<OnlineTimeHist>,
     /// Mean wake cycles per gateway per day.
     pub mean_wake_count: f64,
-    /// Scheduler events delivered, summed over repetitions and shards
-    /// (telemetry — reported to stderr by the batch runner, never JSONL).
-    pub events: u64,
     /// Deterministic work counters, merged over every `(repetition ×
     /// shard)` task (order-invariant — byte-identical at any thread
-    /// count; `counters.delivered() == events`).
+    /// count).
     pub counters: RunCounters,
     /// Wall-clock the deterministic in-order folder spent absorbing task
     /// results, milliseconds (scheduling-dependent; sidecar telemetry
@@ -1190,7 +1151,6 @@ impl SchemeResult {
             completion: vec![run.completion],
             online_time: vec![online],
             mean_wake_count: run.wake_counts.iter().sum::<u64>() as f64 / n_gw as f64,
-            events: run.events,
             counters,
             fold_ms: 0.0,
             shard_summaries: Vec::new(),
@@ -1199,10 +1159,10 @@ impl SchemeResult {
 }
 
 /// One finished `(repetition × shard)` task, reported to the progress
-/// observer of [`run_scheme_sharded_observed`] from the worker thread the
-/// moment its event loop drains — the shard-level heartbeat hour-long
-/// batches print to stderr keeps firing per completion (one slow early
-/// shard must not silence it), now carrying merge progress alongside.
+/// observer of [`TaskHooks`] from the worker thread the moment its event
+/// loop drains — the shard-level heartbeat hour-long batches print to
+/// stderr keeps firing per completion (one slow early shard must not
+/// silence it), now carrying merge progress alongside.
 ///
 /// Tasks complete in scheduling order but are *merged* strictly in task
 /// order (repetition-major, shard-minor) by the deterministic folder, so
@@ -1228,18 +1188,13 @@ pub struct TaskProgress {
     /// Finished-but-not-yet-merged results at that moment — completion
     /// running ahead of the deterministic merge.
     pub fold_queue: usize,
-    /// Scheduler events the finished task delivered.
-    pub events: u64,
-    /// Peak scheduler-heap occupancy of the finished task's event loop.
-    pub peak_heap: usize,
-    /// Peak concurrently-active flow count of the finished task.
-    pub peak_active_flows: usize,
     /// World-build / stream-setup span of the task, milliseconds (0 for
-    /// prebuilt worlds; scheduling-dependent).
+    /// prototype-cache hits and replayed tasks; scheduling-dependent).
     pub setup_ms: f64,
     /// Event-loop span of the task, milliseconds (scheduling-dependent).
     pub loop_ms: f64,
-    /// Deterministic work counters of the task's run.
+    /// Deterministic work counters of the task's run (delivered events,
+    /// peak heap and peak active flows included).
     pub counters: RunCounters,
 }
 
@@ -1285,119 +1240,53 @@ fn build_topology(
 /// One scenario's worlds: `cfg.shards` independent DSLAM neighborhoods,
 /// each a `(Trace, Topology)` pair with local client/gateway indices.
 ///
-/// Two storage models:
-///
-/// * **Eager** ([`build_sharded_world_seeded`]): every shard's
-///   `(Trace, Topology)` pair built up front and kept alive — fine for one
-///   neighborhood, O(world) memory at metro scale.
-/// * **Lazy** ([`ShardedWorld::lazy`]): only `(config, seed)` is stored;
-///   each `(repetition × shard)` task builds its shard *inside the worker*
-///   — streaming the trace, never materializing flows — and drops it on
-///   completion, so peak RSS is O(worker threads × shard), not O(world).
-///
-/// Both produce bit-identical results: shard builds are index-addressed
-/// pure functions of `(config, seed, shard)`.
+/// Only `(config, seed)` is stored: each `(repetition × shard)` task builds
+/// its shard *inside the worker* — streaming the trace, never
+/// materializing flows — and drops it on completion, so peak RSS is
+/// O(worker threads × shard), not O(world). Shard builds are
+/// index-addressed pure functions of `(config, seed, shard)`
+/// ([`build_world_shard_streaming`]), so who builds a shard, and when,
+/// never changes a result.
 #[derive(Debug, Clone)]
 pub struct ShardedWorld {
-    storage: WorldStorage,
-}
-
-#[derive(Debug, Clone)]
-enum WorldStorage {
-    Eager(Vec<(Trace, Topology)>),
-    Lazy { cfg: Box<ScenarioConfig>, seed: u64 },
+    cfg: Box<ScenarioConfig>,
+    seed: u64,
 }
 
 impl ShardedWorld {
-    /// Wraps a single prebuilt world as a one-shard [`ShardedWorld`].
-    pub fn single(trace: Trace, topo: Topology) -> Self {
-        ShardedWorld::eager(vec![(trace, topo)])
-    }
-
-    /// Wraps prebuilt per-shard worlds, in shard order.
-    pub fn eager(shards: Vec<(Trace, Topology)>) -> Self {
-        assert!(!shards.is_empty(), "a world needs at least one shard");
-        ShardedWorld { storage: WorldStorage::Eager(shards) }
-    }
-
     /// A deferred world: shard `s` is built on demand (and dropped after
     /// use) by whichever worker runs it, via the streaming generator. The
     /// config must validate; population counts are answered from it
     /// without building anything.
     pub fn lazy(cfg: &ScenarioConfig, seed: u64) -> Self {
         cfg.validate().expect("validated config");
-        ShardedWorld { storage: WorldStorage::Lazy { cfg: Box::new(cfg.clone()), seed } }
-    }
-
-    /// True when shards are built per-task instead of held in memory.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.storage, WorldStorage::Lazy { .. })
+        ShardedWorld { cfg: Box::new(cfg.clone()), seed }
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards.len(),
-            WorldStorage::Lazy { cfg, .. } => cfg.shards.max(1),
-        }
+        self.cfg.shards.max(1)
     }
 
     /// Total clients across shards.
     pub fn n_clients(&self) -> usize {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards.iter().map(|(_, t)| t.n_clients()).sum(),
-            WorldStorage::Lazy { cfg, .. } => cfg.trace.n_clients,
-        }
+        self.cfg.trace.n_clients
     }
 
     /// Total gateways across shards.
     pub fn n_gateways(&self) -> usize {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards.iter().map(|(_, t)| t.n_gateways()).sum(),
-            WorldStorage::Lazy { cfg, .. } => cfg.trace.n_aps,
-        }
-    }
-
-    /// Total trace flows across shards. `None` for lazy worlds — the count
-    /// only exists once shards are generated; runners read it from the
-    /// per-shard run results instead ([`ShardSummary::n_flows`]).
-    pub fn n_flows(&self) -> Option<usize> {
-        match &self.storage {
-            WorldStorage::Eager(shards) => Some(shards.iter().map(|(t, _)| t.flows.len()).sum()),
-            WorldStorage::Lazy { .. } => None,
-        }
-    }
-
-    /// The materialized per-shard worlds of an eager [`ShardedWorld`].
-    ///
-    /// # Panics
-    /// Panics on a lazy world — it has no materialized shards by design;
-    /// build one with [`build_world_shard`] instead.
-    pub fn shards(&self) -> &[(Trace, Topology)] {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards,
-            WorldStorage::Lazy { .. } => {
-                panic!("lazy ShardedWorld holds no materialized shards (by design)")
-            }
-        }
+        self.cfg.trace.n_aps
     }
 
     /// `(clients, gateways)` of shard `s`, without building anything.
     fn shard_dims(&self, s: usize) -> (usize, usize) {
-        match &self.storage {
-            WorldStorage::Eager(shards) => {
-                let (_, topo) = &shards[s];
-                (topo.n_clients(), topo.n_gateways())
-            }
-            WorldStorage::Lazy { cfg, .. } => {
-                if cfg.shards <= 1 {
-                    (cfg.trace.n_clients, cfg.trace.n_aps)
-                } else {
-                    let span = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
-                        .expect("validated shard split")[s];
-                    (span.n_clients, span.n_gateways)
-                }
-            }
+        let cfg = &self.cfg;
+        if cfg.shards <= 1 {
+            (cfg.trace.n_clients, cfg.trace.n_aps)
+        } else {
+            let span = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
+                .expect("validated shard split")[s];
+            (span.n_clients, span.n_gateways)
         }
     }
 }
@@ -1469,20 +1358,6 @@ fn shard_trace_config(
 
 type CrawdadTraceConfig = insomnia_traffic::CrawdadConfig;
 
-/// Builds every shard of the scenario from the master seed; shards build
-/// in parallel (the split is index-addressed, so the result is identical
-/// at any thread count).
-pub fn build_sharded_world_seeded(cfg: &ScenarioConfig, seed: u64) -> ShardedWorld {
-    let shards =
-        par_map_indexed(cfg.shards.max(1), default_threads(), |s| build_world_shard(cfg, seed, s));
-    ShardedWorld::eager(shards)
-}
-
-/// [`build_sharded_world_seeded`] with the scenario's own seed.
-pub fn build_sharded_world(cfg: &ScenarioConfig) -> ShardedWorld {
-    build_sharded_world_seeded(cfg, cfg.seed)
-}
-
 /// The one live repetition accumulator of the shard fold: shard runs of
 /// repetition `r` are absorbed in shard order (series summed sample-wise,
 /// energies summed, completion sketches and online-time histograms
@@ -1501,7 +1376,6 @@ struct RepAccum {
     completion: CompletionStats,
     online: OnlineTimeHist,
     wake_total: u64,
-    events: u64,
 }
 
 impl RepAccum {
@@ -1520,7 +1394,6 @@ impl RepAccum {
             completion: run.completion,
             online,
             wake_total: run.wake_counts.iter().sum(),
-            events: run.events,
         }
     }
 
@@ -1544,7 +1417,6 @@ impl RepAccum {
             self.online.record(s);
         }
         self.wake_total += run.wake_counts.iter().sum::<u64>();
-        self.events += run.events;
     }
 }
 
@@ -1557,43 +1429,6 @@ struct ShardAccum {
     energy_j: f64,
     mean_gateways: f64,
     mean_wake_count: f64,
-}
-
-/// Runs all repetitions of one scheme over a prebuilt world.
-///
-/// Repetitions are independent (each gets its own forked RNG stream), so
-/// they run on separate threads; results are folded in repetition order,
-/// keeping the aggregate bit-for-bit deterministic.
-pub fn run_scheme_on(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    trace: &Trace,
-    topo: &Topology,
-) -> SchemeResult {
-    run_scheme_seeded(cfg, spec, trace, topo, cfg.seed)
-}
-
-/// [`run_scheme_on`] with an explicit master seed for the repetition
-/// streams. Together with [`build_world_seeded`] this lets a batch runner
-/// fan a (scenario × scheme × seed) matrix across threads with fully
-/// deterministic per-job randomness. All inputs are `Send + Sync`
-/// (asserted at compile time below), so jobs can share worlds by
-/// reference.
-pub fn run_scheme_seeded(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    trace: &Trace,
-    topo: &Topology,
-    seed: u64,
-) -> SchemeResult {
-    run_scheme_shards(
-        cfg,
-        spec,
-        TaskWorlds::Refs(&[(trace, topo)]),
-        seed,
-        default_threads(),
-        &TaskHooks::observed(&|_| {}),
-    )
 }
 
 /// Panic payload of a `(repetition × shard)` task whose bounded retry
@@ -1627,7 +1462,9 @@ pub type PersistFn<'a> = &'a (dyn Fn(usize, &RunResult) + Sync);
 /// core — all optional, all observation-or-replay only: no hook can change
 /// the bytes of a run that completes.
 pub struct TaskHooks<'a> {
-    /// Per-task completion heartbeat (see [`run_scheme_sharded_observed`]).
+    /// Per-task completion heartbeat, called from the worker thread the
+    /// moment each task finishes (see [`TaskProgress`]). Observers must be
+    /// cheap and thread-safe; they cannot affect the result.
     pub observe: &'a (dyn Fn(TaskProgress) + Sync),
     /// Checkpoint replay: given a task index, returns a previously
     /// persisted [`RunResult`] to fold instead of simulating. The replayed
@@ -1649,8 +1486,8 @@ pub struct TaskHooks<'a> {
 }
 
 impl<'a> TaskHooks<'a> {
-    /// Plain observation, no durability: the hooks every pre-existing
-    /// entry point runs with (single attempt, no cache, no faults).
+    /// Plain observation, no durability: single attempt, no cache, no
+    /// faults — the hooks [`run_scheme_sharded`] runs with.
     pub fn observed(observe: &'a (dyn Fn(TaskProgress) + Sync)) -> Self {
         TaskHooks {
             observe,
@@ -1680,7 +1517,7 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// reaches the cell first and cloned by every other.
 type ShardProto = Arc<OnceLock<(FlowStream, Topology)>>;
 
-/// A refcounted per-shard prototype cache for lazy worlds whose shards are
+/// A refcounted per-shard prototype cache for worlds whose shards are
 /// consumed more than once — by several repetitions of one scheme run, or,
 /// under the batch runner's shard-major schedule, by every scheme ×
 /// repetition touching one (scenario, seed) world.
@@ -1704,11 +1541,10 @@ struct ProtoSlot {
 
 impl WorldProtoCache {
     /// A cache for `world`'s shards, each consumed exactly
-    /// `consumers_per_shard` times. `None` unless the world is lazy
-    /// (prebuilt worlds already share by reference) and sharing can help
-    /// (at least two consumers per shard).
+    /// `consumers_per_shard` times. `None` unless sharing can help (at
+    /// least two consumers per shard).
     pub fn new(world: &ShardedWorld, consumers_per_shard: usize) -> Option<WorldProtoCache> {
-        if !world.is_lazy() || consumers_per_shard < 2 {
+        if consumers_per_shard < 2 {
             return None;
         }
         Some(WorldProtoCache {
@@ -1745,130 +1581,75 @@ impl WorldProtoCache {
     }
 }
 
-/// What a `(repetition × shard)` task simulates: borrowed prebuilt worlds,
-/// or a [`ShardedWorld`] whose lazy shards each task builds (streaming) and
-/// drops inside its worker.
-enum TaskWorlds<'a> {
-    Refs(&'a [(&'a Trace, &'a Topology)]),
-    World(&'a ShardedWorld),
-}
-
-impl TaskWorlds<'_> {
-    fn n_shards(&self) -> usize {
-        match self {
-            TaskWorlds::Refs(rs) => rs.len(),
-            TaskWorlds::World(w) => w.n_shards(),
+/// Runs shard `shard` of `world` once under `cfg`: builds the shard here — in the
+/// worker, streaming — and drops it on return. Also returns the
+/// world-build / stream-setup wall-clock in milliseconds.
+///
+/// `proto` is this task's claim on the shard's [`WorldProtoCache`] slot,
+/// if a cache is active: every consumer of a shard drives the identical
+/// trace (the world-build RNG forks depend only on `(seed, shard)` — never
+/// the scheme or repetition), so the first consumer to reach the cell
+/// builds the stream once — replay cache enabled, and its recording
+/// published up front by draining a throwaway clone — and every other
+/// consumer clones the prototype and replays the recording instead of
+/// re-running the setup pass. The up-front drain keeps each consumer's own
+/// stream work counters deterministic: no consumer ever races the
+/// recording's publication. Cache hits report `setup_ms = 0` exactly (the
+/// one real build is the only setup span); `built` reports whether any of
+/// this task's attempts was the builder. Cacheless tasks (the giga/tera
+/// smokes' single-consumer worlds) build and drop their shard.
+fn run_shard(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    world: &ShardedWorld,
+    shard: usize,
+    rng: SimRng,
+    proto: Option<&ShardProto>,
+    built: &mut bool,
+) -> (RunResult, f64) {
+    // Tasks already saturate the worker pool, so the per-run Optimal
+    // pre-solve fan-out is pinned to one thread here: parallelism lives at
+    // exactly one level, never nested (the result is byte-identical either
+    // way).
+    let single = move |stream: FlowStream, topo: &Topology| {
+        run_single_source_threads(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng, 1)
+    };
+    let setup_start = std::time::Instant::now();
+    let Some(slot) = proto else {
+        let (stream, topo) = build_world_shard_streaming(&world.cfg, world.seed, shard);
+        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
+        return (single(stream, &topo), setup_ms);
+    };
+    let mut was_built = false;
+    let (stream_proto, topo) = slot.get_or_init(|| {
+        was_built = true;
+        let (mut s, t) = build_world_shard_streaming(&world.cfg, world.seed, shard);
+        if s.enable_replay_cache() {
+            // Publish the recording before any consumer runs: drain a
+            // throwaway clone so every consumer — this one included —
+            // replays.
+            let mut probe = s.clone();
+            while probe.next_flow().is_some() {}
         }
+        (s, t)
+    });
+    if was_built {
+        // Sticky across retry attempts: a task that built the prototype
+        // and then retried is still the builder.
+        *built = true;
     }
-
-    fn n_gateways(&self) -> usize {
-        match self {
-            TaskWorlds::Refs(rs) => rs.iter().map(|(_, t)| t.n_gateways()).sum(),
-            TaskWorlds::World(w) => w.n_gateways(),
-        }
-    }
-
-    fn shard_dims(&self, s: usize) -> (usize, usize) {
-        match self {
-            TaskWorlds::Refs(rs) => {
-                let (_, topo) = rs[s];
-                (topo.n_clients(), topo.n_gateways())
-            }
-            TaskWorlds::World(w) => w.shard_dims(s),
-        }
-    }
-
-    /// Runs one `(repetition × shard)` task. Lazy shards are built here —
-    /// in the worker, streaming — and dropped on return. Also returns the
-    /// world-build / stream-setup wall-clock in milliseconds (0 for
-    /// prebuilt worlds, where setup happened long before this task).
-    ///
-    /// `proto` is this task's claim on the shard's [`WorldProtoCache`]
-    /// slot, if a cache is active: every consumer of a shard drives the
-    /// identical trace (the world-build RNG forks depend only on `(seed,
-    /// shard)` — never the scheme or repetition), so the first consumer to
-    /// reach the cell builds the stream once — replay cache enabled, and
-    /// its recording published up front by draining a throwaway clone —
-    /// and every other consumer clones the prototype and replays the
-    /// recording instead of re-running the setup pass. The up-front drain
-    /// keeps each consumer's own stream work counters deterministic: no
-    /// consumer ever races the recording's publication. Cache hits report
-    /// `setup_ms = 0` exactly (the one real build is the only setup span);
-    /// `built` reports whether any of this task's attempts was the
-    /// builder. Cacheless tasks (the giga/tera smokes' single-consumer
-    /// worlds) keep the build-and-drop path untouched.
-    fn run_task(
-        &self,
-        cfg: &ScenarioConfig,
-        spec: SchemeSpec,
-        shard: usize,
-        rng: SimRng,
-        proto: Option<&ShardProto>,
-        built: &mut bool,
-    ) -> (RunResult, f64) {
-        // Tasks already saturate the worker pool, so the per-run Optimal
-        // pre-solve fan-out is pinned to one thread here: parallelism
-        // lives at exactly one level, never nested (the result is
-        // byte-identical either way).
-        let single = move |arrivals: ArrivalSource<'_>, topo: &Topology| {
-            run_single_source_threads(cfg, spec, arrivals, topo, rng, 1)
-        };
-        match self {
-            TaskWorlds::Refs(rs) => {
-                let (trace, topo) = rs[shard];
-                (single(ArrivalSource::Slice(&trace.flows), topo), 0.0)
-            }
-            TaskWorlds::World(w) => match &w.storage {
-                WorldStorage::Eager(shards) => {
-                    let (trace, topo) = &shards[shard];
-                    (single(ArrivalSource::Slice(&trace.flows), topo), 0.0)
-                }
-                WorldStorage::Lazy { cfg: world_cfg, seed } => {
-                    let setup_start = std::time::Instant::now();
-                    if let Some(slot) = proto {
-                        let mut was_built = false;
-                        let (stream_proto, topo) = slot.get_or_init(|| {
-                            was_built = true;
-                            let (mut s, t) = build_world_shard_streaming(world_cfg, *seed, shard);
-                            if s.enable_replay_cache() {
-                                // Publish the recording before any consumer
-                                // runs: drain a throwaway clone so every
-                                // consumer — this one included — replays.
-                                let mut probe = s.clone();
-                                while probe.next_flow().is_some() {}
-                            }
-                            (s, t)
-                        });
-                        if was_built {
-                            // Sticky across retry attempts: a task that
-                            // built the prototype and then retried is still
-                            // the builder.
-                            *built = true;
-                        }
-                        let stream = stream_proto.clone();
-                        // A panicking init leaves the cell empty (OnceLock
-                        // does not poison), so a retried builder rebuilds
-                        // safely; hits attribute zero setup — the one real
-                        // build is the only setup span of the shard.
-                        let setup_ms =
-                            if was_built { setup_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
-                        (single(ArrivalSource::Stream(Box::new(stream)), topo), setup_ms)
-                    } else {
-                        let (stream, topo) = build_world_shard_streaming(world_cfg, *seed, shard);
-                        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
-                        (single(ArrivalSource::Stream(Box::new(stream)), &topo), setup_ms)
-                    }
-                }
-            },
-        }
-    }
+    // A panicking init leaves the cell empty (OnceLock does not poison),
+    // so a retried builder rebuilds safely; hits attribute zero setup —
+    // the one real build is the only setup span of the shard.
+    let setup_ms = if was_built { setup_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
+    (single(stream_proto.clone(), topo), setup_ms)
 }
 
 /// Shared completion/merge counters of one scheme run's `(repetition ×
 /// shard)` task pool — the state behind [`TaskProgress`] heartbeats
-/// (`finished` from the workers, `merged` echoed back by the folder). The
-/// per-run entry points keep one per call; the batch runner's shard-major
-/// scheduler keeps one per job and threads it through [`run_scheme_task`].
+/// (`finished` from the workers, `merged` echoed back by the folder).
+/// [`run_scheme_sharded`] keeps one per call; the batch runner keeps one
+/// per job and threads it through [`run_scheme_task`].
 pub struct SchemeProgress {
     finished: AtomicUsize,
     merged: AtomicUsize,
@@ -1897,10 +1678,9 @@ impl SchemeProgress {
 /// `(repetition × shard)` task results **strictly in task order**
 /// (repetition-major, shard-minor) and finalizes into a [`SchemeResult`].
 ///
-/// Extracted from the shard-fold core so the batch runner's shard-major
-/// scheduler can keep one folder per job and feed them all from a single
-/// interleaved worker pool; [`run_scheme_shards`] drives the same folder
-/// through `par_fold_indexed`. Absorb order defines the bytes — the
+/// The batch runner keeps one folder per job and feeds them all from a
+/// single interleaved worker pool; [`run_scheme_sharded`] drives the same
+/// folder through `par_fold_indexed`. Absorb order defines the bytes — the
 /// arithmetic is exactly the historical collect-then-merge, so aggregates
 /// are bit-identical at any thread count and under any task interleaving
 /// that preserves per-job order.
@@ -1922,29 +1702,24 @@ pub struct SchemeFolder {
     completions: Vec<CompletionStats>,
     online_time: Vec<OnlineTimeHist>,
     wakes: f64,
-    events: u64,
     counters: RunCounters,
     fold_ms: f64,
 }
 
 impl SchemeFolder {
-    /// A folder for one scheme run over `world` (the batch entry point).
+    /// A folder for one scheme run over `world`.
     pub fn new(cfg: &ScenarioConfig, spec: SchemeSpec, world: &ShardedWorld) -> SchemeFolder {
-        SchemeFolder::for_worlds(cfg, spec, &TaskWorlds::World(world))
-    }
-
-    fn for_worlds(cfg: &ScenarioConfig, spec: SchemeSpec, worlds: &TaskWorlds<'_>) -> SchemeFolder {
-        let n_shards = worlds.n_shards();
+        let n_shards = world.n_shards();
         SchemeFolder {
             spec,
             reps: cfg.repetitions,
             online_cutoff: cfg.online_cutoff,
             sample_period_s: cfg.sample_period.as_secs_f64(),
             n_shards,
-            n_gateways: worlds.n_gateways(),
-            // Shard dimensions up front: lazy worlds answer them from the
+            n_gateways: world.n_gateways(),
+            // Shard dimensions up front: the world answers them from the
             // span plan, and resolving each once keeps absorbs O(1).
-            shard_dims: (0..n_shards).map(|sh| worlds.shard_dims(sh)).collect(),
+            shard_dims: (0..n_shards).map(|sh| world.shard_dims(sh)).collect(),
             shard_acc: vec![ShardAccum::default(); n_shards],
             rep_acc: None,
             powered: Vec::new(),
@@ -1955,7 +1730,6 @@ impl SchemeFolder {
             completions: Vec::new(),
             online_time: Vec::new(),
             wakes: 0.0,
-            events: 0,
             counters: RunCounters::default(),
             fold_ms: 0.0,
         }
@@ -1983,8 +1757,8 @@ impl SchemeFolder {
         let shard_gateways = self.shard_dims[sh].1;
         if rep == 0 {
             // Every repetition drives the same shard trace; read the flow
-            // count from the run so lazy worlds never have to materialize
-            // (or regenerate) one just to count it.
+            // count from the run so the world never has to materialize (or
+            // regenerate) one just to count it.
             sa.n_flows = run.completion.total_flows() as usize;
         }
         sa.energy_j += run.energy.total_j();
@@ -2010,7 +1784,6 @@ impl SchemeFolder {
             self.completions.push(acc.completion);
             self.online_time.push(acc.online);
             self.wakes += acc.wake_total as f64 / self.n_gateways as f64;
-            self.events += acc.events;
         }
         self.fold_ms += fold_start.elapsed().as_secs_f64() * 1e3;
     }
@@ -2052,7 +1825,6 @@ impl SchemeFolder {
             completion: self.completions,
             online_time: self.online_time,
             mean_wake_count: self.wakes / k,
-            events: self.events,
             counters: self.counters,
             fold_ms: self.fold_ms,
             shard_summaries,
@@ -2060,18 +1832,25 @@ impl SchemeFolder {
     }
 }
 
-/// One `(repetition × shard)` task of a scheme run, end to end: the cancel
-/// check, checkpoint replay, bounded deterministic retry, RNG fork
-/// discipline, prototype-cache accounting and the completion heartbeat.
-/// Exactly the worker body of the shard-fold core; the batch runner's
-/// shard-major scheduler calls it through [`run_scheme_task`] from its own
-/// interleaved pool.
+/// Runs one `(repetition × shard)` task of the scheme run `(cfg, spec,
+/// world, seed)`, end to end: the cancel check, checkpoint replay, bounded
+/// deterministic retry, RNG fork discipline, prototype-cache accounting and
+/// the completion heartbeat.
+///
+/// Task `i` encodes `(repetition, shard)` as `i = rep * n_shards + shard`,
+/// and results must be absorbed into the run's [`SchemeFolder`] strictly in
+/// `i` order. The RNG stream depends only on `(seed, rep, shard)`, so the
+/// result is the same whichever pool runs the task and whatever else runs
+/// beside it: [`run_scheme_sharded`]'s per-run pool and the batch runner's
+/// cross-job pool produce identical bytes. `cache`, if any, must be this
+/// `world`'s [`WorldProtoCache`], and every one of its consumers must call
+/// this exactly once.
 #[allow(clippy::too_many_arguments)]
-fn run_task_inner(
+pub fn run_scheme_task(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
-    worlds: &TaskWorlds<'_>,
-    master: &SimRng,
+    world: &ShardedWorld,
+    seed: u64,
     i: usize,
     cache: Option<&WorldProtoCache>,
     hooks: &TaskHooks<'_>,
@@ -2105,9 +1884,6 @@ fn run_task_inner(
                 total: progress.total,
                 merged: merged_now,
                 fold_queue: done.saturating_sub(merged_now + 1),
-                events: result.events,
-                peak_heap: result.peak_heap,
-                peak_active_flows: result.peak_active_flows,
                 setup_ms: 0.0,
                 loop_ms: 0.0,
                 counters: result.counters,
@@ -2134,12 +1910,9 @@ fn run_task_inner(
                 panic!("injected worker fault (task {i}, attempt {this_attempt})");
             }
         }
-        let rng = if n_shards == 1 {
-            master.fork_idx("rep", rep as u64)
-        } else {
-            master.fork_idx("rep", rep as u64).fork_idx("shard", sh as u64)
-        };
-        worlds.run_task(cfg, spec, sh, rng, proto.as_ref(), &mut built)
+        let master = SimRng::new(seed).fork_idx("rep", rep as u64);
+        let rng = if n_shards == 1 { master } else { master.fork_idx("shard", sh as u64) };
+        run_shard(cfg, spec, world, sh, rng, proto.as_ref(), &mut built)
     });
     let (retries, (mut result, setup_ms)) = match outcome {
         Ok(retried) => (retried.retries, retried.value),
@@ -2179,41 +1952,11 @@ fn run_task_inner(
         total: progress.total,
         merged: merged_now,
         fold_queue: done.saturating_sub(merged_now + 1),
-        events: result.events,
-        peak_heap: result.peak_heap,
-        peak_active_flows: result.peak_active_flows,
         setup_ms,
         loop_ms,
         counters: result.counters,
     });
     result
-}
-
-/// Runs one `(repetition × shard)` task of the scheme run `(cfg, spec,
-/// world, seed)` — the entry point of the batch runner's shard-major
-/// scheduler, which owns the cross-job task interleaving and the per-job
-/// [`SchemeFolder`]s itself. Task `i` encodes `(repetition, shard)` exactly
-/// as the per-run pool does (`i = rep * n_shards + shard`), the RNG stream
-/// is derived identically, and results must be absorbed into the job's
-/// folder strictly in `i` order — so a shard-major batch is byte-identical
-/// to the job-major one. `cache`, if any, must be this `world`'s
-/// [`WorldProtoCache`], and every one of its consumers must call this (or
-/// be `skip`ped) exactly once.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheme_task(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    seed: u64,
-    i: usize,
-    cache: Option<&WorldProtoCache>,
-    hooks: &TaskHooks<'_>,
-    progress: &SchemeProgress,
-) -> RunResult {
-    // Forks are id-based and non-mutating, so re-deriving the master per
-    // task reproduces the per-run pool's streams exactly.
-    let master = SimRng::new(seed);
-    run_task_inner(cfg, spec, &TaskWorlds::World(world), &master, i, cache, hooks, progress)
 }
 
 /// Runs all repetitions of one scheme over every shard of a
@@ -2234,57 +1977,7 @@ pub fn run_scheme_sharded(
     seed: u64,
     max_threads: usize,
 ) -> SchemeResult {
-    run_scheme_shards(
-        cfg,
-        spec,
-        TaskWorlds::World(world),
-        seed,
-        max_threads,
-        &TaskHooks::observed(&|_| {}),
-    )
-}
-
-/// [`run_scheme_sharded`] with a shard-level progress observer: `observe`
-/// is called from the worker thread the moment each `(repetition ×
-/// shard)` task's event loop drains, carrying task completion
-/// (`finished`) and a snapshot of the in-order merge's progress
-/// (`merged`, `fold_queue`). Observers must be cheap and thread-safe
-/// (the batch runner's prints one stderr line); they cannot affect the
-/// result, which stays bit-identical to the unobserved run.
-pub fn run_scheme_sharded_observed(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    seed: u64,
-    max_threads: usize,
-    observe: &(dyn Fn(TaskProgress) + Sync),
-) -> SchemeResult {
-    run_scheme_shards(
-        cfg,
-        spec,
-        TaskWorlds::World(world),
-        seed,
-        max_threads,
-        &TaskHooks::observed(observe),
-    )
-}
-
-/// [`run_scheme_sharded_observed`] with the full crash-safety hook set:
-/// checkpoint replay (`cached`) and persistence (`persist`), bounded
-/// deterministic retry (`max_attempts`), fault injection and cooperative
-/// cancellation — see [`TaskHooks`]. A run that completes is byte-identical
-/// to [`run_scheme_sharded`] regardless of which hooks fired (replay feeds
-/// the same fold in the same order; retries replay the same RNG stream);
-/// only the omit-when-zero recovery counters record that anything happened.
-pub fn run_scheme_sharded_hooks(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    seed: u64,
-    max_threads: usize,
-    hooks: &TaskHooks<'_>,
-) -> SchemeResult {
-    run_scheme_shards(cfg, spec, TaskWorlds::World(world), seed, max_threads, hooks)
+    run_scheme_shards(cfg, spec, world, seed, max_threads, &TaskHooks::observed(&|_| {}))
 }
 
 /// The shard-fold core: `(repetition × shard)` tasks run on the worker
@@ -2299,30 +1992,25 @@ pub fn run_scheme_sharded_hooks(
 fn run_scheme_shards(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
-    worlds: TaskWorlds<'_>,
+    world: &ShardedWorld,
     seed: u64,
     max_threads: usize,
     hooks: &TaskHooks<'_>,
 ) -> SchemeResult {
-    let master = SimRng::new(seed);
-    let n_shards = worlds.n_shards();
+    let n_shards = world.n_shards();
     let n_tasks = cfg.repetitions * n_shards;
     let progress = SchemeProgress::new(n_tasks, n_shards);
-    // Per-shard stream prototypes for multi-repetition lazy runs: built on
-    // first touch, replay-cached, cloned by every later repetition (see
-    // `TaskWorlds::run_task`). `None` — and cost-free — otherwise.
-    let cache = match &worlds {
-        TaskWorlds::World(w) => WorldProtoCache::new(w, cfg.repetitions),
-        TaskWorlds::Refs(_) => None,
-    };
-    let mut folder = SchemeFolder::for_worlds(cfg, spec, &worlds);
-    let worlds_ref = &worlds;
+    // Per-shard stream prototypes for multi-repetition runs: built on first
+    // touch, replay-cached, cloned by every later repetition (see
+    // [`run_shard`]). `None` — and cost-free — otherwise.
+    let cache = WorldProtoCache::new(world, cfg.repetitions);
+    let mut folder = SchemeFolder::new(cfg, spec, world);
     let progress_ref = &progress;
 
     par_fold_indexed(
         n_tasks,
         max_threads,
-        |i| run_task_inner(cfg, spec, worlds_ref, &master, i, cache.as_ref(), hooks, progress_ref),
+        |i| run_scheme_task(cfg, spec, world, seed, i, cache.as_ref(), hooks, progress_ref),
         |step, run| {
             progress.note_merged(step.index + 1);
             folder.absorb(step.index, run);
@@ -2332,15 +2020,8 @@ fn run_scheme_shards(
     folder.finish()
 }
 
-/// Convenience: build the world and run one scheme.
-pub fn run_scheme(cfg: &ScenarioConfig, spec: SchemeSpec) -> SchemeResult {
-    let (trace, topo) = build_world(cfg);
-    run_scheme_on(cfg, spec, &trace, &topo)
-}
-
 /// Compile-time guarantee that everything a batch job needs can cross
-/// thread boundaries (`run_scheme_seeded` borrows these from worker
-/// threads).
+/// thread boundaries (worker threads borrow these from the batch).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ScenarioConfig>();
@@ -2465,11 +2146,12 @@ mod tests {
     fn scheme_runner_averages_reps() {
         let mut cfg = quick_cfg();
         cfg.repetitions = 2;
-        let res = run_scheme(&cfg, SchemeSpec::soi());
+        let world = ShardedWorld::lazy(&cfg, cfg.seed);
+        let res = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, cfg.seed, 0);
         assert_eq!(res.completion.len(), 2);
         assert_eq!(res.online_time.len(), 2);
         assert!(!res.powered_gateways.is_empty());
-        assert!(res.events > 0, "telemetry counts the event loop");
+        assert!(res.counters.delivered() > 0, "telemetry counts the event loop");
         assert_eq!(res.shard_summaries.len(), 1);
         assert_eq!(res.shard_summaries[0].n_gateways, 10);
     }
@@ -2489,19 +2171,21 @@ mod tests {
     fn one_shard_world_is_byte_identical_to_unsharded_build() {
         let cfg = sharded_cfg(1);
         let (trace, topo) = build_world_seeded(&cfg, 99);
-        let world = build_sharded_world_seeded(&cfg, 99);
+        let world = ShardedWorld::lazy(&cfg, 99);
         assert_eq!(world.n_shards(), 1);
-        let (st, stopo) = &world.shards()[0];
+        let (st, stopo) = build_world_shard(&cfg, 99, 0);
         assert_eq!(st.flows.len(), trace.flows.len());
         assert_eq!(st.home, trace.home);
         assert_eq!(st.total_bytes(), trace.total_bytes());
         for c in 0..topo.n_clients() {
             assert_eq!(stopo.reachable(c), topo.reachable(c));
         }
-        // And running through the sharded entry point reproduces the
-        // single-world runner exactly.
-        let a = run_scheme_seeded(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, 7);
-        let b = run_scheme_sharded(&cfg, SchemeSpec::bh2_k_switch(), &world, 7, 4);
+        // And running through the sharded entry point reproduces one
+        // single-world run on the repetition's RNG fork exactly.
+        let spec = SchemeSpec::bh2_k_switch();
+        let rng = SimRng::new(7).fork_idx("rep", 0);
+        let a = SchemeResult::from_single(spec, run_single(&cfg, spec, &trace, &topo, rng));
+        let b = run_scheme_sharded(&cfg, spec, &world, 7, 4);
         assert_eq!(a.energy.total_j(), b.energy.total_j());
         assert_eq!(a.powered_gateways, b.powered_gateways);
         for (ca, cb) in a.completion.iter().zip(&b.completion) {
@@ -2514,7 +2198,7 @@ mod tests {
     #[test]
     fn sharded_runs_are_thread_count_invariant() {
         let cfg = sharded_cfg(4);
-        let world = build_sharded_world_seeded(&cfg, 5);
+        let world = ShardedWorld::lazy(&cfg, 5);
         assert_eq!(world.n_shards(), 4);
         assert_eq!(world.n_clients(), 136);
         assert_eq!(world.n_gateways(), 20);
@@ -2530,14 +2214,15 @@ mod tests {
             assert_eq!(oa.per_gateway(), ob.per_gateway(), "fold order fixes gateway order");
             assert_eq!(oa.quantiles(&[0.5, 0.95]), ob.quantiles(&[0.5, 0.95]));
         }
-        assert_eq!(serial.events, parallel.events);
+        assert_eq!(serial.counters, parallel.counters);
     }
 
     #[test]
     fn merged_shards_sum_series_and_concatenate_vectors() {
         let cfg = sharded_cfg(4);
-        let world = build_sharded_world_seeded(&cfg, 11);
+        let world = ShardedWorld::lazy(&cfg, 11);
         let r = run_scheme_sharded(&cfg, SchemeSpec::no_sleep(), &world, 11, 0);
+        let n_flows: usize = (0..4).map(|s| build_world_shard(&cfg, 11, s).0.flows.len()).sum();
         // No-sleep powers every gateway of every shard, all day.
         for p in &r.powered_gateways {
             assert!((p - 20.0).abs() < 1e-9, "all 20 gateways across 4 shards powered, got {p}");
@@ -2548,17 +2233,11 @@ mod tests {
             20,
             "per-gateway samples concatenate in shard order"
         );
-        assert_eq!(r.completion[0].total_flows() as usize, world.n_flows().unwrap());
-        assert_eq!(
-            r.completion[0].per_flow().expect("small world retains samples").len(),
-            world.n_flows().unwrap()
-        );
+        assert_eq!(r.completion[0].total_flows() as usize, n_flows);
+        assert_eq!(r.completion[0].per_flow().expect("small world retains samples").len(), n_flows);
         assert_eq!(r.shard_summaries.len(), 4);
         assert_eq!(r.shard_summaries.iter().map(|s| s.n_clients).sum::<usize>(), 136);
-        assert_eq!(
-            r.shard_summaries.iter().map(|s| s.n_flows).sum::<usize>(),
-            world.n_flows().unwrap()
-        );
+        assert_eq!(r.shard_summaries.iter().map(|s| s.n_flows).sum::<usize>(), n_flows);
         // Four shards mean four DSLAM shelves in the energy ledger.
         let shelf_j = cfg.power.shelf_w * cfg.horizon().as_secs_f64();
         assert!((r.energy.shelf_j - 4.0 * shelf_j).abs() < 1.0);
@@ -2567,9 +2246,9 @@ mod tests {
     #[test]
     fn observed_runs_report_every_task_and_change_nothing() {
         let cfg = sharded_cfg(4);
-        let world = build_sharded_world_seeded(&cfg, 21);
+        let world = ShardedWorld::lazy(&cfg, 21);
         let seen = std::sync::Mutex::new(Vec::new());
-        let observed = run_scheme_sharded_observed(&cfg, SchemeSpec::soi(), &world, 21, 2, &|p| {
+        let observe = |p: TaskProgress| {
             seen.lock().unwrap().push((
                 p.rep,
                 p.shard,
@@ -2577,9 +2256,11 @@ mod tests {
                 p.total,
                 p.merged,
                 p.fold_queue,
-                p.events,
+                p.counters.delivered(),
             ));
-        });
+        };
+        let hooks = TaskHooks::observed(&observe);
+        let observed = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 21, 2, &hooks);
         let plain = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 21, 2);
         assert_eq!(observed.energy.total_j(), plain.energy.total_j());
         assert_eq!(observed.powered_gateways, plain.powered_gateways);
@@ -2606,11 +2287,10 @@ mod tests {
     #[test]
     fn streaming_cutoff_drops_per_flow_but_keeps_quantiles_close() {
         let mut cfg = sharded_cfg(1);
-        let exact =
-            run_scheme_sharded(&cfg, SchemeSpec::soi(), &build_sharded_world_seeded(&cfg, 9), 9, 2);
+        let exact = run_scheme_sharded(&cfg, SchemeSpec::soi(), &ShardedWorld::lazy(&cfg, 9), 9, 2);
         cfg.completion_cutoff = 0;
         let streamed =
-            run_scheme_sharded(&cfg, SchemeSpec::soi(), &build_sharded_world_seeded(&cfg, 9), 9, 2);
+            run_scheme_sharded(&cfg, SchemeSpec::soi(), &ShardedWorld::lazy(&cfg, 9), 9, 2);
         let e = exact.pooled_completion();
         let s = streamed.pooled_completion();
         assert!(e.per_flow().is_some() && e.is_exact());
@@ -2629,9 +2309,8 @@ mod tests {
     #[test]
     fn shards_decorrelate_but_preserve_population() {
         let cfg = sharded_cfg(2);
-        let world = build_sharded_world_seeded(&cfg, 3);
-        let (a, _) = &world.shards()[0];
-        let (b, _) = &world.shards()[1];
+        let (a, _) = build_world_shard(&cfg, 3, 0);
+        let (b, _) = build_world_shard(&cfg, 3, 1);
         assert_ne!(a.total_bytes(), b.total_bytes(), "shards draw independent streams");
         assert_eq!(a.n_clients() + b.n_clients(), 136);
     }
@@ -2645,7 +2324,6 @@ mod tests {
         assert_eq!(a.isp_power_w, b.isp_power_w);
         assert_eq!(a.energy, b.energy);
         assert_eq!(a.mean_wake_count.to_bits(), b.mean_wake_count.to_bits());
-        assert_eq!(a.events, b.events);
         assert_eq!(a.completion.len(), b.completion.len());
         for (ca, cb) in a.completion.iter().zip(&b.completion) {
             assert_eq!(ca.to_value(), cb.to_value());
@@ -2698,14 +2376,14 @@ mod tests {
     fn transient_fault_with_retry_changes_no_bytes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = build_sharded_world_seeded(&cfg, 11);
+        let world = ShardedWorld::lazy(&cfg, 11);
         let plain = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 11, 2);
         // Task 1's first attempt panics (injected); the retry replays the
         // identical RNG stream, so every deterministic byte matches.
         let fault = |task: usize, attempt: u64| task == 1 && attempt == 0;
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
-        let retried = run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 11, 2, &hooks);
+        let retried = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 11, 2, &hooks);
         assert_results_identical(&plain, &retried);
         assert_eq!(retried.counters.tasks_retried, 1);
         assert_eq!(retried.counters.faults_injected, 1);
@@ -2716,7 +2394,7 @@ mod tests {
     fn cached_replay_folds_byte_identically_and_counts_resumes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = build_sharded_world_seeded(&cfg, 13);
+        let world = ShardedWorld::lazy(&cfg, 13);
         let store: std::sync::Mutex<std::collections::BTreeMap<usize, RunResult>> =
             std::sync::Mutex::new(std::collections::BTreeMap::new());
         let persist = |i: usize, r: &RunResult| {
@@ -2724,7 +2402,7 @@ mod tests {
         };
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { persist: Some(&persist), ..TaskHooks::observed(&obs) };
-        let first = run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
+        let first = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
         let n_tasks = cfg.repetitions * 2;
         assert_eq!(store.lock().unwrap().len(), n_tasks, "one persisted record per task");
 
@@ -2739,7 +2417,7 @@ mod tests {
             }
         };
         let hooks = TaskHooks { cached: Some(&cached), ..TaskHooks::observed(&obs) };
-        let resumed = run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
+        let resumed = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
         assert_results_identical(&first, &resumed);
         assert_eq!(resumed.counters.tasks_resumed, n_tasks.div_ceil(2) as u64);
     }
@@ -2747,12 +2425,12 @@ mod tests {
     #[test]
     fn exhausted_retries_raise_a_task_failure_span() {
         let cfg = sharded_cfg(2);
-        let world = build_sharded_world_seeded(&cfg, 17);
+        let world = ShardedWorld::lazy(&cfg, 17);
         let fault = |task: usize, _attempt: u64| task == 1;
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 17, 1, &hooks)
+            run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 17, 1, &hooks)
         }))
         .expect_err("budget exhausted");
         let failure = err.downcast_ref::<TaskFailure>().expect("TaskFailure payload");
@@ -2763,12 +2441,12 @@ mod tests {
     #[test]
     fn cancel_flag_raises_task_cancelled() {
         let cfg = sharded_cfg(2);
-        let world = build_sharded_world_seeded(&cfg, 19);
+        let world = ShardedWorld::lazy(&cfg, 19);
         let cancel = std::sync::atomic::AtomicBool::new(true);
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { cancel: Some(&cancel), ..TaskHooks::observed(&obs) };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 19, 1, &hooks)
+            run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 19, 1, &hooks)
         }))
         .expect_err("cancelled before the first task");
         assert!(err.downcast_ref::<TaskCancelled>().is_some(), "TaskCancelled payload");

@@ -9,8 +9,8 @@
 
 use insomnia_scenarios::{
     check_rss_budget, compare_jsonl, load_checkpoint, manifest_for, parse_scheme_list,
-    peak_rss_mib, run_batch_controlled, BatchRun, CheckpointWriter, ExecOrder, FaultPlan,
-    ProfileReport, Registry, RunControl, ScenarioSpec, Telemetry,
+    peak_rss_mib, run_batch, BatchRun, CheckpointWriter, FaultPlan, ProfileReport, Registry,
+    RunControl, ScenarioSpec, Telemetry,
 };
 use insomnia_simcore::{SimError, SimResult};
 use std::io::Write;
@@ -85,7 +85,6 @@ USAGE:
                  [--shards N] [--out FILE] [--set dotted.key=value]...
                  [--quick] [--max-rss-mib N] [--telemetry FILE] [--quiet]
                  [--checkpoint FILE [--resume]] [--retries N] [--faults FILE]
-                 [--exec-order shard-major|job-major]
         Expand the (scenario x scheme x seed) matrix, run it in parallel,
         stream one JSON line per job (stdout, or FILE with --out) and print
         the aggregated summary table. Per-job wall-clock and event-count
@@ -126,8 +125,8 @@ SCHEME KEYS:
 
 OPTIONS:
     --seeds N      seeds per (scenario, scheme) cell        [default: 1]
-    --threads N    total thread budget, including each job's internal
-                   repetition x shard threads (0 = all cores) [default: 0]
+    --threads N    worker threads shared by every job's repetition x shard
+                   tasks (0 = all cores)                      [default: 0]
     --shards N     override the scenario's shard count (N independent
                    DSLAM neighborhoods; 1 = the paper's single DSLAM)
     --quick        force repetitions <= 2 for fast smoke runs
@@ -153,13 +152,9 @@ OPTIONS:
     --faults FILE  deterministic fault injection from a [faults] TOML
                    table (panic_tasks, random_panics, io_error_tasks,
                    torn_tail_task) — the chaos-test harness
-    --exec-order ORDER  task scheduling order: shard-major (default —
-                   all schemes of one (seed, shard) run consecutively,
-                   sharing one world prototype per shard) or job-major
-                   (one job's tasks at a time). Byte-neutral: only
-                   wall-clock, peak RSS and cache counters differ
     --counters     profile: print only the deterministic counter totals
     --tol REL      compare: per-metric relative tolerance   [default: 0]
+    -h, --help     print this text (also after any subcommand)
 ";
 
 fn main() -> ExitCode {
@@ -179,6 +174,11 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &[String]) -> SimResult<()> {
+    // `insomnia <subcommand> --help` prints the same text as bare --help.
+    if args.iter().skip(1).any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return Ok(());
+    }
     match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("show") => cmd_show(&args[1..]),
@@ -329,7 +329,6 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
             "checkpoint",
             "retries",
             "faults",
-            "exec-order",
         ],
         &["quick", "quiet", "resume"],
     )?;
@@ -431,17 +430,6 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
             .map_err(|e| SimError::InvalidInput(format!("read {path}: {e}")))?;
         ctl.faults = Some(FaultPlan::from_toml(&text)?);
     }
-    if let Some(order) = flags.get("exec-order") {
-        ctl.exec_order = match order {
-            "shard-major" => ExecOrder::ShardMajor,
-            "job-major" => ExecOrder::JobMajor,
-            other => {
-                return Err(SimError::InvalidInput(format!(
-                    "--exec-order expects `shard-major` or `job-major`, got `{other}`"
-                )))
-            }
-        };
-    }
     if let Some(path) = &checkpoint_path {
         let manifest = manifest_for(&batch);
         if flags.has("resume") {
@@ -466,7 +454,7 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
                 std::fs::File::create(path)
                     .map_err(|e| SimError::InvalidInput(format!("create {path}: {e}")))?,
             );
-            let r = run_batch_controlled(&batch, &mut file, &tel, ctl);
+            let r = run_batch(&batch, &mut file, &tel, ctl);
             file.flush().map_err(|e| SimError::InvalidInput(format!("flush {path}: {e}")))?;
             if let (Ok(s), false) = (&r, quiet) {
                 eprintln!("wrote {} records to {path}", s.records.len());
@@ -476,7 +464,7 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
         None => {
             let stdout = std::io::stdout();
             let mut lock = stdout.lock();
-            let r = run_batch_controlled(&batch, &mut lock, &tel, ctl);
+            let r = run_batch(&batch, &mut lock, &tel, ctl);
             lock.flush().ok();
             r
         }
@@ -618,7 +606,6 @@ fn cmd_sweep(args: &[String]) -> SimResult<()> {
             "checkpoint",
             "retries",
             "faults",
-            "exec-order",
         ],
         &["quick", "quiet", "resume"],
     )?;

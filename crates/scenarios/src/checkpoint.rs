@@ -511,7 +511,10 @@ pub fn load_checkpoint(path: &Path) -> SimResult<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insomnia_core::{run_scheme_sharded_hooks, ScenarioConfig, SchemeSpec, ShardedWorld};
+    use insomnia_core::{
+        run_scheme_task, ScenarioConfig, SchemeProgress, SchemeSpec, ShardedWorld, TaskHooks,
+        TaskProgress,
+    };
 
     /// Known-answer CRC-32 vectors (IEEE reflected; same answers as zlib).
     #[test]
@@ -535,22 +538,11 @@ mod tests {
     fn sample_result() -> RunResult {
         let cfg = ScenarioConfig::smoke();
         let world = ShardedWorld::lazy(&cfg, 7);
-        let obs = |_: insomnia_core::TaskProgress| {};
-        // A scheme run has no per-task RunResult accessor; capture one
-        // representative task result through the persist hook.
-        let store: Mutex<Option<RunResult>> = Mutex::new(None);
-        let persist = |_i: usize, r: &RunResult| {
-            let mut s = store.lock().unwrap();
-            if s.is_none() {
-                *s = Some(r.clone());
-            }
-        };
-        let hooks = insomnia_core::TaskHooks {
-            persist: Some(&persist),
-            ..insomnia_core::TaskHooks::observed(&obs)
-        };
-        run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 7, 1, &hooks);
-        store.into_inner().unwrap().expect("at least one task persisted")
+        let obs = |_: TaskProgress| {};
+        let n_shards = world.n_shards();
+        let progress = SchemeProgress::new(cfg.repetitions * n_shards, n_shards);
+        let hooks = TaskHooks::observed(&obs);
+        run_scheme_task(&cfg, SchemeSpec::soi(), &world, 7, 0, None, &hooks, &progress)
     }
 
     #[test]
@@ -666,6 +658,27 @@ mod tests {
         assert!(err.contains("config hash"), "{err}");
         assert!(err.contains("job count 4 vs 9"), "{err}");
         assert!(err.contains("--resume"), "{err}");
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_rejected_on_resume() {
+        // Version 1 task records still carried `events`, `peak_heap` and
+        // `peak_active_flows` beside `counters`; resume refuses them
+        // through the manifest check instead of folding a stale wire form.
+        let dir = std::env::temp_dir().join(format!("insomnia-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1.ckpt");
+        let old = Manifest { version: 1, ..sample_manifest() };
+        let w = CheckpointWriter::create(&path, &old).unwrap();
+        w.write_task(0, 0, 0, 0, 0, &sample_result());
+        w.finish();
+        let loaded = load_checkpoint(&path).unwrap();
+        assert_eq!(loaded.manifest.version, 1);
+        let err = loaded.manifest.verify_against(&sample_manifest()).unwrap_err().to_string();
+        let expect = format!("schema version 1 vs {CHECKPOINT_SCHEMA_VERSION}");
+        assert!(err.contains(&expect), "{err}");
+        assert!(err.contains("--resume"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

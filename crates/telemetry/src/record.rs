@@ -62,7 +62,7 @@ pub struct TaskRecord {
     /// Shards per repetition.
     pub n_shards: usize,
     /// World-build / stream-setup span of the task, milliseconds
-    /// (0 for prebuilt worlds).
+    /// (0 for prototype-cache hits and replayed tasks).
     pub setup_ms: f64,
     /// Event-loop span of the task, milliseconds.
     pub loop_ms: f64,

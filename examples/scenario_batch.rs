@@ -12,7 +12,9 @@
 //!     --scenario paper-default,rural-sparse --schemes soi,bh2 --seeds 2 --quick
 //! ```
 
-use insomnia::scenarios::{parse_scheme_list, run_batch, BatchRun, Registry};
+use insomnia::scenarios::{
+    parse_scheme_list, run_batch, BatchRun, Registry, RunControl, Telemetry,
+};
 
 fn main() {
     let registry = Registry::builtin();
@@ -36,7 +38,9 @@ fn main() {
 
     println!("running {} jobs...", batch.n_jobs());
     // JSONL lines go to a sink here; see `insomnia run --out` for files.
-    let summary = run_batch(&batch, &mut std::io::sink()).expect("batch runs");
+    let summary =
+        run_batch(&batch, &mut std::io::sink(), &Telemetry::stderr(), RunControl::default())
+            .expect("batch runs");
     print!("{}", summary.table());
 
     println!("\nnote how the flash crowd keeps more gateways awake in the");

@@ -17,8 +17,8 @@
 
 use insomnia::core::{ScenarioConfig, SchemeSpec};
 use insomnia::scenarios::{
-    load_checkpoint, manifest_for, parse_scheme_list, run_batch_controlled, BatchRun,
-    CheckpointWriter, FaultPlan, Registry, RunControl, Telemetry,
+    load_checkpoint, manifest_for, parse_scheme_list, run_batch, BatchRun, CheckpointWriter,
+    FaultPlan, Registry, RunControl, Telemetry,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -31,7 +31,7 @@ fn tmp_path(name: &str) -> PathBuf {
 
 fn run_with(batch: &BatchRun, ctl: RunControl) -> Vec<u8> {
     let mut out = Vec::new();
-    run_batch_controlled(batch, &mut out, &Telemetry::quiet(), ctl)
+    run_batch(batch, &mut out, &Telemetry::quiet(), ctl)
         .unwrap_or_else(|e| panic!("controlled run: {e}"));
     out
 }
@@ -189,7 +189,7 @@ fn interrupted_shard_major_run_resumes_byte_identically() {
         let writer = CheckpointWriter::create(&path, &manifest).unwrap();
         let plan = FaultPlan { panic_tasks: vec![2], ..FaultPlan::default() };
         let mut partial = Vec::new();
-        let err = run_batch_controlled(
+        let err = run_batch(
             &batch,
             &mut partial,
             &Telemetry::quiet(),

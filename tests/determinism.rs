@@ -2,16 +2,16 @@
 //! the whole stack — the property every simulation result in
 //! EXPERIMENTS.md relies on.
 
-use insomnia::access::{PowerLadder, PowerState};
+use insomnia::access::{joules_to_kwh, PowerLadder, PowerState};
 use insomnia::core::{
-    build_sharded_world_seeded, build_world, run_scheme_sharded, run_single,
-    run_single_source_threads, ArrivalSource, CompletionStats, ScenarioConfig, SchemeSpec,
+    build_world, build_world_shard, completion_quantiles, run_scheme_sharded, run_single,
+    run_single_source_threads, ArrivalSource, CompletionStats, RunCounters, ScenarioConfig,
+    SchemeSpec, ShardedWorld,
 };
 use insomnia::dslphy::{BundleConfig, CrosstalkExperiment};
-use insomnia::scenarios::{
-    parse_scheme_list, run_batch, run_batch_controlled, BatchRun, ExecOrder, Registry, RunControl,
-};
-use insomnia::simcore::{OnlineTimeHist, Scheduler, SimDuration, SimRng, SimTime};
+use insomnia::scenarios::batch::job_seed;
+use insomnia::scenarios::{parse_scheme_list, run_batch, BatchRun, Registry, RunControl};
+use insomnia::simcore::{OnlineTimeHist, SimDuration, SimRng, SimTime};
 use insomnia::telemetry::{CounterTotals, ProfileReport, Telemetry};
 use insomnia::traffic::crawdad::{self, CrawdadConfig};
 use insomnia::traffic::FlowStream;
@@ -161,9 +161,9 @@ fn sharded_streaming_jsonl_is_byte_identical_across_thread_counts() {
         threads,
     };
     let mut single = Vec::new();
-    run_batch(&batch(1), &mut single).unwrap();
+    run_batch(&batch(1), &mut single, &Telemetry::stderr(), RunControl::default()).unwrap();
     let mut multi = Vec::new();
-    run_batch(&batch(8), &mut multi).unwrap();
+    run_batch(&batch(8), &mut multi, &Telemetry::stderr(), RunControl::default()).unwrap();
     assert_eq!(single, multi, "sharded streaming JSONL must be thread-count invariant");
     let text = String::from_utf8(single).unwrap();
     for line in text.lines() {
@@ -192,9 +192,9 @@ fn unsharded_streaming_jsonl_is_byte_identical_across_thread_counts() {
         threads,
     };
     let mut single = Vec::new();
-    run_batch(&batch(1), &mut single).unwrap();
+    run_batch(&batch(1), &mut single, &Telemetry::stderr(), RunControl::default()).unwrap();
     let mut multi = Vec::new();
-    run_batch(&batch(8), &mut multi).unwrap();
+    run_batch(&batch(8), &mut multi, &Telemetry::stderr(), RunControl::default()).unwrap();
     assert_eq!(single, multi);
     let text = String::from_utf8(single).unwrap();
     assert!(!text.contains("completion_quantiles"), "shards = 1 schema is frozen: {text}");
@@ -208,7 +208,7 @@ fn run_counters_are_byte_identical_across_thread_counts() {
     // results: their merged sums/maxes — and the serialized form the CI
     // drift gate `cmp`s — must not depend on the thread count.
     let cfg = dense_metro_reduced(4);
-    let world = build_sharded_world_seeded(&cfg, cfg.seed);
+    let world = ShardedWorld::lazy(&cfg, cfg.seed);
     let r1 = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, cfg.seed, 1);
     let r8 = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, cfg.seed, 8);
     assert_eq!(r1.counters, r8.counters, "counters must be thread-count invariant");
@@ -217,10 +217,8 @@ fn run_counters_are_byte_identical_across_thread_counts() {
         serde_json::to_string(&r8.counters).unwrap(),
         "serialized counters (the drift-gate payload) must be byte-identical"
     );
-    // Internal consistency: the per-kind delivery counters sum to the
-    // scheduler's event total, every fold absorbed exactly one task, and
+    // Internal consistency: every fold absorbed exactly one task, and
     // every scheduled event was delivered, cancelled, or still queued.
-    assert_eq!(r1.counters.delivered(), r1.events);
     assert_eq!(r1.counters.fold_absorptions, (cfg.repetitions * cfg.shards) as u64);
     assert!(r1.counters.heap_pushes >= r1.counters.delivered() + r1.counters.cancelled());
     assert_eq!(r1.counters.arrivals, r1.counters.flows_total);
@@ -243,59 +241,75 @@ impl Write for SharedBuf {
 }
 
 #[test]
-fn shard_major_and_job_major_batches_are_byte_identical() {
-    // A three-scheme batch over a sharded lazy world: the default
-    // shard-major order serves each shard's setup pass from the prototype
-    // cache across schemes, job-major rebuilds it per scheme. Neither the
-    // order nor the thread count may move a byte of the result JSONL, and
-    // within one order the sidecar counter totals must be thread-count
-    // invariant too.
-    let batch = |threads: usize| BatchRun {
-        scenarios: vec![("dense-metro-reduced".into(), dense_metro_reduced(2))],
-        schemes: parse_scheme_list("no-sleep,soi,bh2").unwrap(),
-        seeds: 1,
-        threads,
-    };
-    let run = |threads: usize, order: ExecOrder| -> (Vec<u8>, CounterTotals) {
+fn batch_jobs_match_standalone_runs_at_any_thread_count() {
+    // A three-scheme batch over a sharded world: the batch interleaves
+    // every scheme's tasks on one pool and serves each shard's setup pass
+    // from the cross-scheme prototype cache. Neither the interleaving nor
+    // the thread count may move a byte of the result JSONL or the sidecar
+    // counter totals, and every job must reproduce what the per-run pool
+    // computes for it alone — one job's tasks at a time, nothing shared.
+    let cfg = dense_metro_reduced(2);
+    let schemes = parse_scheme_list("no-sleep,soi,bh2").unwrap();
+    let run = |threads: usize| {
+        let batch = BatchRun {
+            scenarios: vec![("dense-metro-reduced".into(), cfg.clone())],
+            schemes: schemes.clone(),
+            seeds: 1,
+            threads,
+        };
         let sidecar = SharedBuf::default();
         let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
         let mut out = Vec::new();
-        let ctl = RunControl { exec_order: order, ..RunControl::default() };
-        run_batch_controlled(&batch(threads), &mut out, &tel, ctl).unwrap();
+        let summary = run_batch(&batch, &mut out, &tel, RunControl::default()).unwrap();
         let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
-        let totals = ProfileReport::from_jsonl(&text).unwrap().counter_totals().unwrap();
-        (out, totals)
+        (out, summary, ProfileReport::from_jsonl(&text).unwrap())
     };
-    let (sm1, ct_sm1) = run(1, ExecOrder::ShardMajor);
-    let (sm8, ct_sm8) = run(8, ExecOrder::ShardMajor);
-    let (jm1, ct_jm1) = run(1, ExecOrder::JobMajor);
-    let (jm8, ct_jm8) = run(8, ExecOrder::JobMajor);
-    assert_eq!(sm1, sm8, "shard-major JSONL must be thread-count invariant");
-    assert_eq!(jm1, jm8, "job-major JSONL must be thread-count invariant");
-    assert_eq!(sm1, jm1, "execution order must be byte-neutral on the result JSONL");
-
+    let (out1, summary, report1) = run(1);
+    let (out8, _, report8) = run(8);
+    assert_eq!(out1, out8, "batch JSONL must be thread-count invariant");
     let json = |t: &CounterTotals| serde_json::to_string(t).unwrap();
-    assert_eq!(json(&ct_sm1), json(&ct_sm8), "shard-major drift payload thread-invariant");
-    assert_eq!(json(&ct_jm1), json(&ct_jm8), "job-major drift payload thread-invariant");
+    let totals = report1.counter_totals().unwrap();
+    assert_eq!(json(&totals), json(&report8.counter_totals().unwrap()));
+    // Each of the 2 shard prototypes was built once and served the other
+    // two schemes from the cache.
+    assert_eq!(totals.counters.proto_cache_builds, 2);
+    assert_eq!(totals.counters.proto_cache_hits, 4, "(schemes - 1) x shards x reps");
 
-    // Shard-major built each of the 2 shard prototypes once and served the
-    // other two schemes from the cache; job-major has nothing to share.
-    assert_eq!(ct_sm1.counters.proto_cache_builds, 2);
-    assert_eq!(ct_sm1.counters.proto_cache_hits, 4, "(schemes - 1) x shards x reps");
-    assert_eq!(ct_jm1.counters.proto_cache_builds, 0);
-    assert_eq!(ct_jm1.counters.proto_cache_hits, 0);
-
-    // Across orders, only the scheduling-dependent *work* counters may
-    // move (cache hits replay the prototype's recording instead of
-    // re-merging); every simulation counter matches exactly.
-    let neutral = |mut t: CounterTotals| {
-        t.counters.proto_cache_builds = 0;
-        t.counters.proto_cache_hits = 0;
-        t.counters.stream_refills = 0;
-        t.counters.merge_pops = 0;
-        t
+    // Only the scheduling-dependent work counters may differ from a
+    // standalone run (cache hits replay the prototype's recording instead
+    // of re-merging); every simulation counter matches exactly.
+    let neutral = |mut c: RunCounters| {
+        c.proto_cache_builds = 0;
+        c.proto_cache_hits = 0;
+        c.stream_refills = 0;
+        c.merge_pops = 0;
+        c
     };
-    assert_eq!(json(&neutral(ct_sm1)), json(&neutral(ct_jm1)));
+    let seed = job_seed(cfg.seed, 0);
+    let world = ShardedWorld::lazy(&cfg, seed);
+    let qs = |c: &CompletionStats| completion_quantiles(c).map(|q| [q.p25, q.p50, q.p95, q.p99]);
+    for (j, &spec) in schemes.iter().enumerate() {
+        let alone = run_scheme_sharded(&cfg, spec, &world, seed, 2);
+        let rec = &summary.records[j];
+        assert_eq!(rec.scheme, report1.jobs[j].scheme);
+        assert_eq!(rec.energy_kwh, joules_to_kwh(alone.energy.total_j()), "{spec}");
+        let mean_powered =
+            alone.powered_gateways.iter().sum::<f64>() / alone.powered_gateways.len() as f64;
+        assert_eq!(rec.mean_gateways, mean_powered, "{spec}");
+        let shards = rec.shard_summaries.as_ref().unwrap();
+        for (sr, sa) in shards.iter().zip(&alone.shard_summaries) {
+            assert_eq!(sr.energy_kwh, joules_to_kwh(sa.energy_j), "{spec}");
+            assert_eq!(sr.mean_gateways, sa.mean_gateways, "{spec}");
+            assert_eq!(sr.n_flows, sa.n_flows, "{spec}");
+        }
+        let grid = rec.completion_quantiles.as_ref().map(|q| [q.p25, q.p50, q.p95, q.p99]);
+        assert_eq!(grid, qs(&alone.pooled_completion()), "{spec}");
+        assert_eq!(
+            neutral(report1.jobs[j].counters),
+            neutral(alone.counters),
+            "{spec}: simulation counters"
+        );
+    }
 }
 
 #[test]
@@ -304,7 +318,7 @@ fn merged_shard_quantiles_are_merge_order_invariant() {
     // the same quantiles the driver's fold reports — the property that
     // makes the merged result independent of scheduling.
     let cfg = dense_metro_reduced(4);
-    let world = build_sharded_world_seeded(&cfg, cfg.seed);
+    let world = ShardedWorld::lazy(&cfg, cfg.seed);
     let result = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, cfg.seed, 4);
     let per_rep = &result.completion[0];
     assert!(per_rep.per_flow().is_none(), "cutoff 0 must not retain per-flow samples");
@@ -312,13 +326,14 @@ fn merged_shard_quantiles_are_merge_order_invariant() {
     assert!(rep_online.per_gateway().is_none(), "cutoff 0 must not retain per-gateway samples");
     assert_eq!(rep_online.gateways(), 800, "4 shards x 200 gateways");
 
-    // Re-run each shard in isolation and merge forwards and backwards.
-    let rng = |s: u64| SimRng::new(cfg.seed).fork_idx("rep", 0).fork_idx("shard", s);
-    let shard_runs: Vec<_> = world
-        .shards()
-        .iter()
-        .enumerate()
-        .map(|(s, (trace, topo))| run_single(&cfg, SchemeSpec::soi(), trace, topo, rng(s as u64)))
+    // Re-run each shard in isolation on a materialized trace and merge
+    // forwards and backwards.
+    let shard_runs: Vec<_> = (0..cfg.shards)
+        .map(|s| {
+            let (trace, topo) = build_world_shard(&cfg, cfg.seed, s);
+            let rng = SimRng::new(cfg.seed).fork_idx("rep", 0).fork_idx("shard", s as u64);
+            run_single(&cfg, SchemeSpec::soi(), &trace, &topo, rng)
+        })
         .collect();
     let shard_online: Vec<OnlineTimeHist> = shard_runs
         .iter()
@@ -366,7 +381,7 @@ fn explicit_two_state_ladder_is_byte_identical_to_legacy_binary() {
             threads: 2,
         };
         let mut out = Vec::new();
-        run_batch(&batch, &mut out).unwrap();
+        run_batch(&batch, &mut out, &Telemetry::stderr(), RunControl::default()).unwrap();
         out
     };
     // The sharded path over the no-sleep / SoI / BH2 families...
@@ -388,17 +403,14 @@ fn explicit_two_state_ladder_is_byte_identical_to_legacy_binary() {
 }
 
 #[test]
-fn doze_schemes_on_the_calendar_queue_are_thread_count_invariant() {
-    // The new sleep policies at calendar-queue scale: a single dense-metro
-    // neighborhood big enough that the scheduler's occupancy hint picks
-    // the calendar backend, run through the batch runner at 1 vs 8
-    // threads. Multi-doze's descent ticks and adaptive-SOI's per-gateway
+fn doze_schemes_on_one_large_shard_are_thread_count_invariant() {
+    // The multi-level sleep policies on one large dense-metro
+    // neighborhood (60,256 clients), run through the batch runner at 1 vs
+    // 8 threads. Multi-doze's descent ticks and adaptive-SOI's per-gateway
     // timeouts must be as thread-count invariant as every other timer.
-    // One giant neighborhood, DSLAM scaled to carry every line. The shape
-    // threads the needle between two hard bounds: the queue hint
-    // (3·gateways + clients + 4) must clear the calendar threshold while
-    // clients × gateways stays under the topology pair budget — which
-    // pins the density near 28 clients per gateway.
+    // One giant neighborhood, DSLAM scaled to carry every line; clients ×
+    // gateways stays under the topology pair budget at ~28 clients per
+    // gateway.
     let mut cfg = Registry::builtin().resolve("dense-metro").unwrap();
     cfg.trace.n_aps = 2_152;
     cfg.trace.n_clients = 28 * cfg.trace.n_aps;
@@ -428,13 +440,6 @@ fn doze_schemes_on_the_calendar_queue_are_thread_count_invariant() {
     ]));
     cfg.validate().unwrap();
 
-    // The worlds this test runs really sit on the calendar backend.
-    let world = build_sharded_world_seeded(&cfg, cfg.seed);
-    let (_, topo) = &world.shards()[0];
-    let hint = 3 * topo.n_gateways() + topo.n_clients() + 4;
-    let probe: Scheduler<u32> = Scheduler::with_queue_hint(hint);
-    assert_eq!(probe.queue_backend(), "calendar", "hint {hint} must select the calendar queue");
-
     let batch = |threads: usize| BatchRun {
         scenarios: vec![("doze-metro".into(), cfg.clone())],
         schemes: parse_scheme_list("multi-doze,adaptive-soi").unwrap(),
@@ -442,18 +447,18 @@ fn doze_schemes_on_the_calendar_queue_are_thread_count_invariant() {
         threads,
     };
     let mut single = Vec::new();
-    run_batch(&batch(1), &mut single).unwrap();
+    run_batch(&batch(1), &mut single, &Telemetry::stderr(), RunControl::default()).unwrap();
     let mut multi = Vec::new();
-    run_batch(&batch(8), &mut multi).unwrap();
+    run_batch(&batch(8), &mut multi, &Telemetry::stderr(), RunControl::default()).unwrap();
     assert_eq!(single, multi, "doze-scheme JSONL must be thread-count invariant");
 
     // The run actually exercised the ladder: overnight re-sleeps descend
     // doze levels, and the counters ride the same order-invariant fold.
+    let world = ShardedWorld::lazy(&cfg, cfg.seed);
     let r1 = run_scheme_sharded(&cfg, SchemeSpec::multi_doze(), &world, cfg.seed, 1);
     let r8 = run_scheme_sharded(&cfg, SchemeSpec::multi_doze(), &world, cfg.seed, 8);
     assert_eq!(r1.counters, r8.counters);
     assert!(r1.counters.doze_ticks > 0, "multi-doze must deliver descent ticks");
-    assert_eq!(r1.counters.delivered(), r1.events, "doze ticks counted as delivered events");
 }
 
 #[test]

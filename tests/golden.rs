@@ -22,7 +22,9 @@
 //! `insomnia compare` (exit-code gate), so the goldens guard both the
 //! library path and the binary path.
 
-use insomnia::scenarios::{compare_jsonl, parse_scheme_list, run_batch, BatchRun, Registry};
+use insomnia::scenarios::{
+    compare_jsonl, parse_scheme_list, run_batch, BatchRun, Registry, RunControl, Telemetry,
+};
 
 /// Runs one preset exactly like `insomnia run --scenario <name>
 /// --schemes <schemes> --seeds 1 --quick` and compares the JSONL bytes
@@ -38,7 +40,8 @@ fn assert_schemes_match_golden(preset: &str, schemes: &str, golden: &str) {
         threads: 0,
     };
     let mut out = Vec::new();
-    run_batch(&batch, &mut out).unwrap_or_else(|e| panic!("run {preset}: {e}"));
+    run_batch(&batch, &mut out, &Telemetry::stderr(), RunControl::default())
+        .unwrap_or_else(|e| panic!("run {preset}: {e}"));
     let got = String::from_utf8(out).expect("JSONL is UTF-8");
 
     let path = format!("{}/tests/golden/{golden}.jsonl", env!("CARGO_MANIFEST_DIR"));

@@ -4,7 +4,8 @@
 
 use insomnia::core::{ScenarioConfig, SchemeSpec, TopologyKind};
 use insomnia::scenarios::{
-    compare_jsonl, parse_scheme_list, run_batch, BatchRun, Registry, ScenarioSpec,
+    compare_jsonl, parse_scheme_list, run_batch, BatchRun, Registry, RunControl, ScenarioSpec,
+    Telemetry,
 };
 use insomnia::simcore::SimTime;
 
@@ -97,10 +98,11 @@ fn small_batch(threads: usize) -> BatchRun {
 #[test]
 fn batch_jsonl_is_byte_identical_across_thread_counts() {
     let mut single = Vec::new();
-    run_batch(&small_batch(1), &mut single).unwrap();
+    run_batch(&small_batch(1), &mut single, &Telemetry::stderr(), RunControl::default()).unwrap();
     for threads in [2, 4, 8] {
         let mut multi = Vec::new();
-        run_batch(&small_batch(threads), &mut multi).unwrap();
+        run_batch(&small_batch(threads), &mut multi, &Telemetry::stderr(), RunControl::default())
+            .unwrap();
         assert_eq!(
             single, multi,
             "JSONL output must not depend on thread count (threads = {threads})"
@@ -118,7 +120,8 @@ fn batch_jsonl_is_byte_identical_across_thread_counts() {
 #[test]
 fn batch_results_reproduce_the_papers_ordering_everywhere_sharing_exists() {
     let mut out = Vec::new();
-    let summary = run_batch(&small_batch(0), &mut out).unwrap();
+    let summary =
+        run_batch(&small_batch(0), &mut out, &Telemetry::stderr(), RunControl::default()).unwrap();
     for scenario in ["smoke", "rural"] {
         let row = |scheme: &str| {
             summary
@@ -150,10 +153,17 @@ fn sharded_batch(shards: usize, threads: usize) -> BatchRun {
 #[test]
 fn sharded_batch_jsonl_is_byte_identical_across_thread_counts() {
     let mut single = Vec::new();
-    run_batch(&sharded_batch(4, 1), &mut single).unwrap();
+    run_batch(&sharded_batch(4, 1), &mut single, &Telemetry::stderr(), RunControl::default())
+        .unwrap();
     for threads in [2, 8] {
         let mut multi = Vec::new();
-        run_batch(&sharded_batch(4, threads), &mut multi).unwrap();
+        run_batch(
+            &sharded_batch(4, threads),
+            &mut multi,
+            &Telemetry::stderr(),
+            RunControl::default(),
+        )
+        .unwrap();
         assert_eq!(single, multi, "sharded JSONL must not depend on threads (= {threads})");
     }
     let text = String::from_utf8(single).unwrap();
@@ -167,7 +177,7 @@ fn sharded_batch_jsonl_is_byte_identical_across_thread_counts() {
 #[test]
 fn unsharded_runs_never_leak_shard_fields() {
     let mut out = Vec::new();
-    run_batch(&sharded_batch(1, 0), &mut out).unwrap();
+    run_batch(&sharded_batch(1, 0), &mut out, &Telemetry::stderr(), RunControl::default()).unwrap();
     let text = String::from_utf8(out).unwrap();
     for line in text.lines() {
         assert!(!line.contains("shard"), "shards = 1 must keep the pre-shard schema: {line}");
@@ -177,7 +187,7 @@ fn unsharded_runs_never_leak_shard_fields() {
 #[test]
 fn compare_gates_batch_outputs() {
     let mut a = Vec::new();
-    run_batch(&sharded_batch(4, 0), &mut a).unwrap();
+    run_batch(&sharded_batch(4, 0), &mut a, &Telemetry::stderr(), RunControl::default()).unwrap();
     let a = String::from_utf8(a).unwrap();
 
     // Identical runs pass at zero tolerance.
@@ -187,7 +197,7 @@ fn compare_gates_batch_outputs() {
     // A different shard split is a different world: the gate must trip and
     // name real metrics.
     let mut b = Vec::new();
-    run_batch(&sharded_batch(2, 0), &mut b).unwrap();
+    run_batch(&sharded_batch(2, 0), &mut b, &Telemetry::stderr(), RunControl::default()).unwrap();
     let b = String::from_utf8(b).unwrap();
     let diff = compare_jsonl("a", &a, "b", &b, 1e-6).unwrap();
     assert!(!diff.matches());
@@ -208,7 +218,8 @@ fn no_sharing_control_degenerates_bh2_to_soi() {
         seeds: 1,
         threads: 0,
     };
-    let summary = run_batch(&batch, &mut Vec::new()).unwrap();
+    let summary =
+        run_batch(&batch, &mut Vec::new(), &Telemetry::stderr(), RunControl::default()).unwrap();
     let soi = &summary.records[0];
     let bh2 = &summary.records[1];
     // With nobody in range but the home gateway, BH2 has no moves to make:

@@ -6,14 +6,18 @@
 //! flow, and sharded worlds build their shards lazily inside each
 //! `(repetition × shard)` worker. All of it is justified by one promise —
 //! **bit-identical results** — which these tests enforce across every
-//! preset config, both driver entry points, and both world storages.
+//! preset config, both arrival feeds, and against per-shard materialized
+//! oracles.
 
 use insomnia::core::{
     build_world_shard, build_world_shard_streaming, run_scheme_sharded, run_single,
-    run_single_streaming, RunResult, ScenarioConfig, SchemeSpec, ShardedWorld,
+    run_single_source_threads, ArrivalSource, CompletionStats, RunResult, ScenarioConfig,
+    SchemeSpec, ShardedWorld,
 };
 use insomnia::scenarios::Registry;
-use insomnia::simcore::{SimRng, SimTime};
+use insomnia::simcore::{average_runs, SimRng, SimTime};
+use insomnia::traffic::FlowStream;
+use insomnia::wireless::Topology;
 
 /// Every registry preset, reduced to a 2-hour horizon so debug-mode tests
 /// stay fast; shard 0 of each preset is its genuine per-shard population
@@ -47,6 +51,17 @@ fn streaming_world_build_matches_eager_for_every_preset() {
     }
 }
 
+/// The driver over a streaming arrival feed.
+fn run_streamed(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    stream: FlowStream,
+    topo: &Topology,
+    rng: SimRng,
+) -> RunResult {
+    run_single_source_threads(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng, 1)
+}
+
 fn assert_runs_identical(name: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.powered_gateways, b.powered_gateways, "{name}: powered series");
     assert_eq!(a.awake_cards, b.awake_cards, "{name}: cards series");
@@ -64,7 +79,7 @@ fn assert_runs_identical(name: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.gateway_online_s, b.gateway_online_s, "{name}: online seconds");
     assert_eq!(a.wake_counts, b.wake_counts, "{name}: wake counts");
     assert_eq!(a.stats, b.stats, "{name}: driver stats");
-    assert_eq!(a.events, b.events, "{name}: delivered events");
+    assert_eq!(a.counters.delivered(), b.counters.delivered(), "{name}: delivered events");
 }
 
 #[test]
@@ -84,16 +99,18 @@ fn streamed_driver_is_bit_identical_to_slice_driver() {
         let (trace, topo) = build_world_shard(&cfg, seed, 0);
         let eager = run_single(&cfg, spec, &trace, &topo, SimRng::new(7));
         let (stream, stopo) = build_world_shard_streaming(&cfg, seed, 0);
-        let streamed = run_single_streaming(&cfg, spec, stream, &stopo, SimRng::new(7));
+        let streamed = run_streamed(&cfg, spec, stream, &stopo, SimRng::new(7));
         assert_runs_identical(&format!("{spec}"), &eager, &streamed);
     }
 }
 
 #[test]
 fn lazy_worlds_reproduce_eager_sharded_runs() {
-    // 4 dense-metro-class neighborhoods, run once with every shard's
-    // (Trace, Topology) held in memory and once building each shard inside
-    // the worker via the stream — byte-identical results either way.
+    // 4 dense-metro-class neighborhoods. The lazy world builds each shard
+    // inside the worker via the stream; the oracle materializes every
+    // shard with `build_world_shard` and runs it alone through
+    // `run_single` on the task's RNG fork. The shard fold must reproduce
+    // those standalone runs bit for bit.
     let mut cfg = ScenarioConfig::default();
     cfg.trace.n_clients = 544;
     cfg.trace.n_aps = 80;
@@ -102,30 +119,59 @@ fn lazy_worlds_reproduce_eager_sharded_runs() {
     cfg.shards = 4;
     cfg.validate().unwrap();
     let seed = 31;
-    let eager_world = insomnia::core::build_sharded_world_seeded(&cfg, seed);
-    let lazy_world = ShardedWorld::lazy(&cfg, seed);
-    assert!(lazy_world.is_lazy() && !eager_world.is_lazy());
-    assert_eq!(lazy_world.n_shards(), 4);
-    assert_eq!(lazy_world.n_clients(), eager_world.n_clients());
-    assert_eq!(lazy_world.n_gateways(), eager_world.n_gateways());
-    assert_eq!(lazy_world.n_flows(), None, "lazy worlds never count flows up front");
+    let world = ShardedWorld::lazy(&cfg, seed);
+    let shards: Vec<_> = (0..cfg.shards).map(|s| build_world_shard(&cfg, seed, s)).collect();
+    assert_eq!(world.n_shards(), 4);
+    assert_eq!(world.n_clients(), shards.iter().map(|(_, t)| t.n_clients()).sum::<usize>());
+    assert_eq!(world.n_gateways(), shards.iter().map(|(_, t)| t.n_gateways()).sum::<usize>());
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
-        let a = run_scheme_sharded(&cfg, spec, &eager_world, seed, 4);
-        let b = run_scheme_sharded(&cfg, spec, &lazy_world, seed, 4);
-        assert_eq!(a.powered_gateways, b.powered_gateways, "{spec}");
-        assert_eq!(a.energy.total_j(), b.energy.total_j(), "{spec}");
-        assert_eq!(a.mean_wake_count, b.mean_wake_count, "{spec}");
-        assert_eq!(a.events, b.events, "{spec}");
-        for (ca, cb) in a.completion.iter().zip(&b.completion) {
-            assert_eq!(ca.per_flow(), cb.per_flow(), "{spec}");
-            assert_eq!(ca.quantiles(&[0.5, 0.95]), cb.quantiles(&[0.5, 0.95]), "{spec}");
+        let lazy = run_scheme_sharded(&cfg, spec, &world, seed, 4);
+        // runs[rep][shard], each on its own materialized shard.
+        let runs: Vec<Vec<RunResult>> = (0..cfg.repetitions)
+            .map(|r| {
+                shards
+                    .iter()
+                    .enumerate()
+                    .map(|(s, (trace, topo))| {
+                        let rng = SimRng::new(seed).fork_idx("rep", r as u64);
+                        run_single(&cfg, spec, trace, topo, rng.fork_idx("shard", s as u64))
+                    })
+                    .collect()
+            })
+            .collect();
+        // Per repetition, shard series sum and completion samples
+        // concatenate in shard order; repetitions then average.
+        let mut powered = Vec::new();
+        for (r, rep) in runs.iter().enumerate() {
+            let mut sum = rep[0].powered_gateways.clone();
+            for run in &rep[1..] {
+                for (acc, v) in sum.iter_mut().zip(&run.powered_gateways) {
+                    *acc += v;
+                }
+            }
+            powered.push(sum);
+            let stats: Vec<CompletionStats> =
+                rep.iter().map(|run| run.completion.clone()).collect();
+            let pooled = CompletionStats::pooled(&stats);
+            assert_eq!(lazy.completion[r].per_flow(), pooled.per_flow(), "{spec}");
+            assert_eq!(
+                lazy.completion[r].quantiles(&[0.5, 0.95]),
+                pooled.quantiles(&[0.5, 0.95]),
+                "{spec}"
+            );
         }
-        assert_eq!(a.shard_summaries.len(), b.shard_summaries.len());
-        for (sa, sb) in a.shard_summaries.iter().zip(&b.shard_summaries) {
-            assert_eq!(sa.n_clients, sb.n_clients, "{spec}");
-            assert_eq!(sa.n_gateways, sb.n_gateways, "{spec}");
-            assert_eq!(sa.n_flows, sb.n_flows, "{spec}");
-            assert_eq!(sa.energy_j, sb.energy_j, "{spec}");
+        assert_eq!(lazy.powered_gateways, average_runs(&powered), "{spec}");
+        let delivered: u64 = runs.iter().flatten().map(|run| run.counters.delivered()).sum();
+        assert_eq!(lazy.counters.delivered(), delivered, "{spec}");
+        assert_eq!(lazy.shard_summaries.len(), shards.len());
+        for (s, sa) in lazy.shard_summaries.iter().enumerate() {
+            let (trace, topo) = &shards[s];
+            assert_eq!(sa.n_clients, topo.n_clients(), "{spec}");
+            assert_eq!(sa.n_gateways, topo.n_gateways(), "{spec}");
+            assert_eq!(sa.n_flows, trace.flows.len(), "{spec}");
+            let energy_j = runs.iter().map(|rep| rep[s].energy.total_j()).sum::<f64>()
+                / cfg.repetitions as f64;
+            assert_eq!(sa.energy_j, energy_j, "{spec}");
         }
     }
 }
@@ -147,22 +193,18 @@ fn scheduler_heap_stays_bounded_by_active_flows_plus_timers() {
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
         let r = run_single(&cfg, spec, &trace, &topo, SimRng::new(3));
         let timers = 3 * n_gw + n_clients + 3;
+        let (peak_heap, peak_active) = (r.counters.peak_heap, r.counters.peak_active_flows);
         assert!(
-            r.peak_heap <= r.peak_active_flows + timers,
-            "{spec}: peak heap {} exceeds active {} + timers {}",
-            r.peak_heap,
-            r.peak_active_flows,
-            timers
+            peak_heap <= peak_active + timers as u64,
+            "{spec}: peak heap {peak_heap} exceeds active {peak_active} + timers {timers}"
         );
-        let total = r.completion.total_flows() as usize;
+        let total = r.completion.total_flows();
         assert!(total > 1_000, "{spec}: want a flow-heavy run, got {total}");
         assert!(
-            r.peak_heap < total / 4,
-            "{spec}: peak heap {} is not O(active) against {} trace flows",
-            r.peak_heap,
-            total
+            peak_heap < total / 4,
+            "{spec}: peak heap {peak_heap} is not O(active) against {total} trace flows"
         );
-        assert!(r.peak_active_flows > 0 && r.peak_heap > 0);
+        assert!(peak_active > 0 && peak_heap > 0);
     }
 }
 
@@ -177,7 +219,7 @@ fn optimal_consumes_the_same_cursor_window() {
     let (trace, topo) = build_world_shard(&cfg, seed, 0);
     let a = run_single(&cfg, SchemeSpec::optimal(), &trace, &topo, SimRng::new(1));
     let (stream, stopo) = build_world_shard_streaming(&cfg, seed, 0);
-    let b = run_single_streaming(&cfg, SchemeSpec::optimal(), stream, &stopo, SimRng::new(1));
+    let b = run_streamed(&cfg, SchemeSpec::optimal(), stream, &stopo, SimRng::new(1));
     assert_runs_identical("optimal", &a, &b);
     assert_eq!(a.completion.completed(), 0, "optimal does not simulate flows");
 }

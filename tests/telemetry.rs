@@ -4,7 +4,7 @@
 //! `insomnia profile` must be able to render it.
 
 use insomnia::core::ScenarioConfig;
-use insomnia::scenarios::{parse_scheme_list, run_batch, run_batch_telemetry, BatchRun, Registry};
+use insomnia::scenarios::{parse_scheme_list, run_batch, BatchRun, Registry, RunControl};
 use insomnia::simcore::SimTime;
 use insomnia::telemetry::{
     ProfileReport, RunCounters, Telemetry, TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
@@ -58,13 +58,13 @@ fn sidecar_schema_smoke() {
 
     // Baseline: the result JSONL of a plain (telemetry-free) run.
     let mut plain = Vec::new();
-    run_batch(&batch, &mut plain).unwrap();
+    run_batch(&batch, &mut plain, &Telemetry::stderr(), RunControl::default()).unwrap();
 
     // Telemetry run: quiet bundle plus a JSONL sidecar sink.
     let sidecar = SharedBuf::default();
     let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
     let mut with_tel = Vec::new();
-    run_batch_telemetry(&batch, &mut with_tel, &tel).unwrap();
+    run_batch(&batch, &mut with_tel, &tel, RunControl::default()).unwrap();
     assert_eq!(plain, with_tel, "the sidecar must never perturb the result JSONL");
 
     let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
