@@ -5,7 +5,11 @@
 //! per-flow completion times, per-gateway online times and the energy
 //! breakdown. [`run_scheme_sharded`] repeats it `cfg.repetitions` times per
 //! shard of a [`ShardedWorld`] with independent algorithmic randomness and
-//! averages the series, exactly as the paper averages its 10 runs.
+//! averages the series, exactly as the paper averages its 10 runs. Its
+//! unit of work, [`run_scheme_task`], runs one `(repetition × shard)` task
+//! and returns the result; the batch runner calls the same function and
+//! adds checkpoint replay, persistence, cancellation and heartbeats around
+//! it.
 //!
 //! Event zoo: flow arrivals from the trace; flow departures from the
 //! processor-sharing engine; gateway wake completions; SoI idle checks;
@@ -24,14 +28,13 @@ use insomnia_access::{
     PowerLadder,
 };
 use insomnia_simcore::{
-    average_runs, default_threads, par_fold_indexed, par_map_indexed, retry_unwind, EventToken,
-    OnlineTimeHist, Scheduler, SimDuration, SimRng, SimTime,
+    average_runs, default_threads, panic_message, par_fold_indexed, par_map_indexed, retry_unwind,
+    EventToken, OnlineTimeHist, Scheduler, SimDuration, SimRng, SimTime,
 };
 use insomnia_telemetry::RunCounters;
 use insomnia_traffic::{FlowRecord, FlowStream, Trace};
 use insomnia_wireless::{binomial_topology, overlap_topology, shard_spans, LoadWindow, Topology};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Simulation events.
@@ -1158,46 +1161,6 @@ impl SchemeResult {
     }
 }
 
-/// One finished `(repetition × shard)` task, reported to the progress
-/// observer of [`TaskHooks`] from the worker thread the moment its event
-/// loop drains — the shard-level heartbeat hour-long batches print to
-/// stderr keeps firing per completion (one slow early shard must not
-/// silence it), now carrying merge progress alongside.
-///
-/// Tasks complete in scheduling order but are *merged* strictly in task
-/// order (repetition-major, shard-minor) by the deterministic folder, so
-/// `finished` can run ahead of `merged`; the difference is the folder's
-/// reorder-queue depth, `fold_queue` (bounded by the fold's claim
-/// window, O(worker threads)).
-#[derive(Debug, Clone, Copy)]
-pub struct TaskProgress {
-    /// Repetition index of the finished task.
-    pub rep: usize,
-    /// Shard index of the finished task.
-    pub shard: usize,
-    /// Shards per repetition.
-    pub n_shards: usize,
-    /// Tasks finished so far, including this one (each task reports a
-    /// unique value; completion order is scheduling-dependent).
-    pub finished: usize,
-    /// Total `(repetition × shard)` tasks of the scheme run.
-    pub total: usize,
-    /// Tasks absorbed by the in-order folder when this one finished
-    /// (monotone across reports, `<= finished`).
-    pub merged: usize,
-    /// Finished-but-not-yet-merged results at that moment — completion
-    /// running ahead of the deterministic merge.
-    pub fold_queue: usize,
-    /// World-build / stream-setup span of the task, milliseconds (0 for
-    /// prototype-cache hits and replayed tasks; scheduling-dependent).
-    pub setup_ms: f64,
-    /// Event-loop span of the task, milliseconds (scheduling-dependent).
-    pub loop_ms: f64,
-    /// Deterministic work counters of the task's run (delivered events,
-    /// peak heap and peak active flows included).
-    pub counters: RunCounters,
-}
-
 /// Builds the scenario's trace and topology from the master seed. Shared
 /// across schemes and repetitions (the paper uses one real trace and one
 /// topology; randomness lives in the algorithms).
@@ -1431,10 +1394,22 @@ struct ShardAccum {
     mean_wake_count: f64,
 }
 
-/// Panic payload of a `(repetition × shard)` task whose bounded retry
-/// budget is exhausted. Callers that `catch_unwind` around a scheme run
-/// downcast to this to report the failed span precisely (and exit nonzero)
-/// instead of reprinting an anonymous panic.
+/// One finished `(repetition × shard)` task: its result plus the task's
+/// wall-clock spans (scheduling-dependent; for heartbeats and phase tables,
+/// never for deterministic output).
+#[derive(Debug)]
+pub struct TaskRun {
+    /// The task's simulation result, recovery counters included.
+    pub result: RunResult,
+    /// World-build / stream-setup span, milliseconds (0 for prototype-cache
+    /// hits).
+    pub setup_ms: f64,
+    /// Event-loop span, milliseconds.
+    pub loop_ms: f64,
+}
+
+/// A `(repetition × shard)` task whose bounded retry budget is exhausted —
+/// the error of [`run_scheme_task`], naming the failed span precisely.
 #[derive(Debug)]
 pub struct TaskFailure {
     /// Repetition index of the failed task.
@@ -1447,68 +1422,13 @@ pub struct TaskFailure {
     pub message: String,
 }
 
-/// Panic payload a worker raises when [`TaskHooks::cancel`] is set before
-/// its task starts: the cooperative interrupt path (SIGINT) aborts the
-/// fold without simulating further tasks. Already-persisted checkpoint
-/// records stay valid, so the run can resume later.
-#[derive(Debug)]
-pub struct TaskCancelled;
-
-/// Checkpoint persistence callback: `(task index, freshly simulated
-/// result)`, invoked from the worker before the result is folded.
-pub type PersistFn<'a> = &'a (dyn Fn(usize, &RunResult) + Sync);
-
-/// Control hooks a crash-safe batch runner threads through the shard-fold
-/// core — all optional, all observation-or-replay only: no hook can change
-/// the bytes of a run that completes.
-pub struct TaskHooks<'a> {
-    /// Per-task completion heartbeat, called from the worker thread the
-    /// moment each task finishes (see [`TaskProgress`]). Observers must be
-    /// cheap and thread-safe; they cannot affect the result.
-    pub observe: &'a (dyn Fn(TaskProgress) + Sync),
-    /// Checkpoint replay: given a task index, returns a previously
-    /// persisted [`RunResult`] to fold instead of simulating. The replayed
-    /// result is marked in `counters.tasks_resumed` (telemetry only).
-    pub cached: Option<&'a (dyn Fn(usize) -> Option<RunResult> + Sync)>,
-    /// Checkpoint persistence: called from the worker with each freshly
-    /// simulated task's result, in completion order, before it is folded.
-    pub persist: Option<PersistFn<'a>>,
-    /// Total attempts per task (clamped to ≥ 1; 1 = no retry). Retries
-    /// re-derive the identical RNG stream — the attempt number must never
-    /// leak into fork labels — so a transient panic cannot change bytes.
-    pub max_attempts: usize,
-    /// Deterministic fault injection: `fault(task, attempt)` returning
-    /// `true` makes that attempt panic before simulating (chaos tests).
-    pub fault: Option<&'a (dyn Fn(usize, u64) -> bool + Sync)>,
-    /// Cooperative cancel flag: workers raise [`TaskCancelled`] instead of
-    /// starting a task once it reads `true`.
-    pub cancel: Option<&'a std::sync::atomic::AtomicBool>,
-}
-
-impl<'a> TaskHooks<'a> {
-    /// Plain observation, no durability: single attempt, no cache, no
-    /// faults — the hooks [`run_scheme_sharded`] runs with.
-    pub fn observed(observe: &'a (dyn Fn(TaskProgress) + Sync)) -> Self {
-        TaskHooks {
-            observe,
-            cached: None,
-            persist: None,
-            max_attempts: 1,
-            fault: None,
-            cancel: None,
-        }
-    }
-}
-
-/// Best-effort panic-payload text (matches std's unwind reporting for
-/// `&str`/`String` payloads).
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+impl std::fmt::Display for TaskFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "repetition {} shard {} failed after {} attempt(s): {}",
+            self.rep, self.shard, self.attempts, self.message
+        )
     }
 }
 
@@ -1572,7 +1492,7 @@ impl WorldProtoCache {
     /// checkpoint-replay path, where a resumed task never simulates. Keeps
     /// the refcount exact so a partially resumed run still frees each
     /// shard's prototype at its true last consumer.
-    fn skip(&self, shard: usize) {
+    pub fn skip(&self, shard: usize) {
         let mut slot = self.slots[shard].lock().expect("proto slot lock");
         slot.remaining = slot.remaining.saturating_sub(1);
         if slot.remaining == 0 {
@@ -1645,42 +1565,13 @@ fn run_shard(
     (single(stream_proto.clone(), topo), setup_ms)
 }
 
-/// Shared completion/merge counters of one scheme run's `(repetition ×
-/// shard)` task pool — the state behind [`TaskProgress`] heartbeats
-/// (`finished` from the workers, `merged` echoed back by the folder).
-/// [`run_scheme_sharded`] keeps one per call; the batch runner keeps one
-/// per job and threads it through [`run_scheme_task`].
-pub struct SchemeProgress {
-    finished: AtomicUsize,
-    merged: AtomicUsize,
-    total: usize,
-    n_shards: usize,
-}
-
-impl SchemeProgress {
-    /// Progress state for a run of `total` tasks over `n_shards` shards.
-    pub fn new(total: usize, n_shards: usize) -> SchemeProgress {
-        SchemeProgress {
-            finished: AtomicUsize::new(0),
-            merged: AtomicUsize::new(0),
-            total,
-            n_shards,
-        }
-    }
-
-    /// Records that the in-order folder has absorbed tasks `0..merged`.
-    pub fn note_merged(&self, merged: usize) {
-        self.merged.store(merged, Ordering::Relaxed);
-    }
-}
-
 /// The deterministic in-order fold state of one scheme run: absorbs
 /// `(repetition × shard)` task results **strictly in task order**
 /// (repetition-major, shard-minor) and finalizes into a [`SchemeResult`].
 ///
 /// The batch runner keeps one folder per job and feeds them all from a
 /// single interleaved worker pool; [`run_scheme_sharded`] drives the same
-/// folder through `par_fold_indexed`. Absorb order defines the bytes — the
+/// folder through [`par_fold_indexed`]. Absorb order defines the bytes — the
 /// arithmetic is exactly the historical collect-then-merge, so aggregates
 /// are bit-identical at any thread count and under any task interleaving
 /// that preserves per-job order.
@@ -1833,9 +1724,9 @@ impl SchemeFolder {
 }
 
 /// Runs one `(repetition × shard)` task of the scheme run `(cfg, spec,
-/// world, seed)`, end to end: the cancel check, checkpoint replay, bounded
-/// deterministic retry, RNG fork discipline, prototype-cache accounting and
-/// the completion heartbeat.
+/// world, seed)` and returns its result: bounded deterministic retry, RNG
+/// fork discipline and prototype-cache accounting. Checkpoint replay,
+/// persistence, cancellation and heartbeats belong to the caller.
 ///
 /// Task `i` encodes `(repetition, shard)` as `i = rep * n_shards + shard`,
 /// and results must be absorbed into the run's [`SchemeFolder`] strictly in
@@ -1844,7 +1735,15 @@ impl SchemeFolder {
 /// beside it: [`run_scheme_sharded`]'s per-run pool and the batch runner's
 /// cross-job pool produce identical bytes. `cache`, if any, must be this
 /// `world`'s [`WorldProtoCache`], and every one of its consumers must call
-/// this exactly once.
+/// this exactly once (or [`WorldProtoCache::skip`] instead).
+///
+/// Each task gets `max_attempts` attempts (clamped to ≥ 1). Retries
+/// re-derive the identical RNG stream — the attempt number never leaks
+/// into fork labels — so a transient panic cannot change bytes; they count
+/// in `counters.tasks_retried`. `fault(attempt)` returning `true` makes
+/// that attempt panic before simulating (deterministic fault injection,
+/// counted in `counters.faults_injected`). When every attempt panics the
+/// task returns a [`TaskFailure`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_scheme_task(
     cfg: &ScenarioConfig,
@@ -1853,62 +1752,24 @@ pub fn run_scheme_task(
     seed: u64,
     i: usize,
     cache: Option<&WorldProtoCache>,
-    hooks: &TaskHooks<'_>,
-    progress: &SchemeProgress,
-) -> RunResult {
-    let n_shards = progress.n_shards;
+    max_attempts: usize,
+    fault: &dyn Fn(u64) -> bool,
+) -> Result<TaskRun, TaskFailure> {
+    let n_shards = world.n_shards();
     let (rep, sh) = (i / n_shards, i % n_shards);
-    if let Some(cancel) = hooks.cancel {
-        if cancel.load(Ordering::Relaxed) {
-            std::panic::panic_any(TaskCancelled);
-        }
-    }
-    // Checkpoint replay: a cached result folds exactly like a fresh one
-    // (same index, same bytes); only the resumed-task telemetry counter
-    // records the difference.
-    if let Some(cached) = hooks.cached {
-        if let Some(mut result) = cached(i) {
-            result.counters.tasks_resumed += 1;
-            // A replayed task never touches the prototype; release its
-            // claim so the shard still frees at its true last consumer.
-            if let Some(cache) = cache {
-                cache.skip(sh);
-            }
-            let done = progress.finished.fetch_add(1, Ordering::Relaxed) + 1;
-            let merged_now = progress.merged.load(Ordering::Relaxed);
-            (hooks.observe)(TaskProgress {
-                rep,
-                shard: sh,
-                n_shards,
-                finished: done,
-                total: progress.total,
-                merged: merged_now,
-                fold_queue: done.saturating_sub(merged_now + 1),
-                setup_ms: 0.0,
-                loop_ms: 0.0,
-                counters: result.counters,
-            });
-            return result;
-        }
-    }
     let task_start = std::time::Instant::now();
     // Claim the shard's prototype exactly once per task, *outside* the
     // retry loop: a retried attempt must not decrement the refcount again.
     let proto = cache.map(|c| c.acquire(sh));
-    // Bounded deterministic retry: every attempt re-derives the identical
-    // RNG stream (fork labels depend only on (rep, sh)), so a transient
-    // panic cannot change a single output byte.
     let mut attempt = 0u64;
     let mut injected = 0u64;
     let mut built = false;
-    let outcome = retry_unwind(hooks.max_attempts, || {
+    let outcome = retry_unwind(max_attempts, || {
         let this_attempt = attempt;
         attempt += 1;
-        if let Some(fault) = hooks.fault {
-            if fault(i, this_attempt) {
-                injected += 1;
-                panic!("injected worker fault (task {i}, attempt {this_attempt})");
-            }
+        if fault(this_attempt) {
+            injected += 1;
+            panic!("injected worker fault (task {i}, attempt {this_attempt})");
         }
         let master = SimRng::new(seed).fork_idx("rep", rep as u64);
         let rng = if n_shards == 1 { master } else { master.fork_idx("shard", sh as u64) };
@@ -1916,12 +1777,14 @@ pub fn run_scheme_task(
     });
     let (retries, (mut result, setup_ms)) = match outcome {
         Ok(retried) => (retried.retries, retried.value),
-        Err(payload) => std::panic::panic_any(TaskFailure {
-            rep,
-            shard: sh,
-            attempts: attempt as usize,
-            message: payload_message(payload.as_ref()),
-        }),
+        Err(payload) => {
+            return Err(TaskFailure {
+                rep,
+                shard: sh,
+                attempts: attempt as usize,
+                message: panic_message(payload.as_ref()),
+            })
+        }
     };
     result.counters.tasks_retried += retries;
     result.counters.faults_injected += injected;
@@ -1936,40 +1799,25 @@ pub fn run_scheme_task(
         }
     }
     let loop_ms = (task_start.elapsed().as_secs_f64() * 1e3 - setup_ms).max(0.0);
-    if let Some(persist) = hooks.persist {
-        persist(i, &result);
-    }
-    // Report from the worker, at completion: heartbeats must keep flowing
-    // even while the in-order folder waits on a slow earlier task. Merge
-    // progress rides along as a snapshot.
-    let done = progress.finished.fetch_add(1, Ordering::Relaxed) + 1;
-    let merged_now = progress.merged.load(Ordering::Relaxed);
-    (hooks.observe)(TaskProgress {
-        rep,
-        shard: sh,
-        n_shards,
-        finished: done,
-        total: progress.total,
-        merged: merged_now,
-        fold_queue: done.saturating_sub(merged_now + 1),
-        setup_ms,
-        loop_ms,
-        counters: result.counters,
-    });
-    result
+    Ok(TaskRun { result, setup_ms, loop_ms })
 }
 
 /// Runs all repetitions of one scheme over every shard of a
 /// [`ShardedWorld`], on at most `max_threads` worker threads.
 ///
-/// The `(repetition × shard)` tasks are fully independent: repetition `r`
-/// of shard `s` draws from `master.fork_idx("rep", r).fork_idx("shard", s)`
-/// (with the `"shard"` fork skipped for one-shard worlds, which keeps
-/// `shards = 1` byte-identical to the pre-shard driver). Results are
-/// absorbed online by a deterministic in-order folder ([`RepAccum`]) —
-/// shard order within each repetition, repetitions in order — so the
-/// aggregate never depends on thread count and no per-task result is
-/// retained past its fold.
+/// The `(repetition × shard)` tasks ([`run_scheme_task`], one attempt
+/// each) are fully independent: repetition `r` of shard `s` draws from
+/// `master.fork_idx("rep", r).fork_idx("shard", s)` (with the `"shard"`
+/// fork skipped for one-shard worlds, which keeps `shards = 1`
+/// byte-identical to the pre-shard driver). Results are absorbed **online,
+/// in task order** by a deterministic [`SchemeFolder`] on the calling
+/// thread ([`par_fold_indexed`]) — shard order within each repetition,
+/// repetitions in order, the exact arithmetic order of the historical
+/// collect-then-merge — so every aggregate is bit-identical at any thread
+/// count. No task's [`RunResult`] outlives its fold: merge state is one
+/// live [`RepAccum`] plus `O(shards)` scalar summaries plus the fold's
+/// reorder window, which is what caps a 10⁸-client world's merge memory at
+/// O(shards × buckets). A task that panics panics the call.
 pub fn run_scheme_sharded(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
@@ -1977,46 +1825,20 @@ pub fn run_scheme_sharded(
     seed: u64,
     max_threads: usize,
 ) -> SchemeResult {
-    run_scheme_shards(cfg, spec, world, seed, max_threads, &TaskHooks::observed(&|_| {}))
-}
-
-/// The shard-fold core: `(repetition × shard)` tasks run on the worker
-/// pool and are absorbed **online, in task order** by a deterministic
-/// folder on the calling thread ([`par_fold_indexed`]). No task's
-/// [`RunResult`] outlives its fold: merge state is one live [`RepAccum`]
-/// plus `O(shards)` scalar summaries plus the folder's reorder window —
-/// never the historical O(repetitions × shards) result matrix, which is
-/// what caps a 10⁸-client world's merge memory at O(shards × buckets).
-/// Fold order equals the old collect-then-merge order exactly, so every
-/// aggregate is bit-identical to it (and to itself at any thread count).
-fn run_scheme_shards(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    seed: u64,
-    max_threads: usize,
-    hooks: &TaskHooks<'_>,
-) -> SchemeResult {
-    let n_shards = world.n_shards();
-    let n_tasks = cfg.repetitions * n_shards;
-    let progress = SchemeProgress::new(n_tasks, n_shards);
     // Per-shard stream prototypes for multi-repetition runs: built on first
     // touch, replay-cached, cloned by every later repetition (see
     // [`run_shard`]). `None` — and cost-free — otherwise.
     let cache = WorldProtoCache::new(world, cfg.repetitions);
     let mut folder = SchemeFolder::new(cfg, spec, world);
-    let progress_ref = &progress;
-
     par_fold_indexed(
-        n_tasks,
+        folder.n_tasks(),
         max_threads,
-        |i| run_scheme_task(cfg, spec, world, seed, i, cache.as_ref(), hooks, progress_ref),
-        |step, run| {
-            progress.note_merged(step.index + 1);
-            folder.absorb(step.index, run);
+        |i| match run_scheme_task(cfg, spec, world, seed, i, cache.as_ref(), 1, &|_| false) {
+            Ok(task) => task.result,
+            Err(failure) => panic!("{failure}"),
         },
+        |step, run| folder.absorb(step.index, run),
     );
-
     folder.finish()
 }
 
@@ -2244,47 +2066,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_runs_report_every_task_and_change_nothing() {
-        let cfg = sharded_cfg(4);
-        let world = ShardedWorld::lazy(&cfg, 21);
-        let seen = std::sync::Mutex::new(Vec::new());
-        let observe = |p: TaskProgress| {
-            seen.lock().unwrap().push((
-                p.rep,
-                p.shard,
-                p.finished,
-                p.total,
-                p.merged,
-                p.fold_queue,
-                p.counters.delivered(),
-            ));
-        };
-        let hooks = TaskHooks::observed(&observe);
-        let observed = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 21, 2, &hooks);
-        let plain = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 21, 2);
-        assert_eq!(observed.energy.total_j(), plain.energy.total_j());
-        assert_eq!(observed.powered_gateways, plain.powered_gateways);
-        let seen = seen.into_inner().unwrap();
-        let n_tasks = cfg.repetitions * 4;
-        assert_eq!(seen.len(), n_tasks, "one report per (rep x shard) task");
-        assert!(seen.iter().all(|&(rep, sh, _, total, _, _, ev)| {
-            rep < cfg.repetitions && sh < 4 && total == n_tasks && ev > 0
-        }));
-        // Each task reports once, at completion, with a unique monotone
-        // `finished` counter; the merge snapshot stays in range (the
-        // folder can never absorb more than the total), and the reorder
-        // queue reports the completion-ahead-of-merge gap, which the
-        // fold's claim window keeps bounded.
-        let mut finished: Vec<usize> = seen.iter().map(|&(_, _, f, _, _, _, _)| f).collect();
-        finished.sort_unstable();
-        assert_eq!(finished, (1..=n_tasks).collect::<Vec<_>>(), "one report per task");
-        for &(_, _, f, _, m, queue, _) in &seen {
-            assert!(m <= n_tasks, "merge snapshot in range");
-            assert!(queue < n_tasks && queue <= f, "bounded completion/merge gap");
-        }
-    }
-
-    #[test]
     fn streaming_cutoff_drops_per_flow_but_keeps_quantiles_close() {
         let mut cfg = sharded_cfg(1);
         let exact = run_scheme_sharded(&cfg, SchemeSpec::soi(), &ShardedWorld::lazy(&cfg, 9), 9, 2);
@@ -2380,10 +2161,16 @@ mod tests {
         let plain = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 11, 2);
         // Task 1's first attempt panics (injected); the retry replays the
         // identical RNG stream, so every deterministic byte matches.
-        let fault = |task: usize, attempt: u64| task == 1 && attempt == 0;
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
-        let retried = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 11, 2, &hooks);
+        let cache = WorldProtoCache::new(&world, cfg.repetitions);
+        let mut folder = SchemeFolder::new(&cfg, SchemeSpec::soi(), &world);
+        for i in 0..folder.n_tasks() {
+            let fault = |attempt: u64| i == 1 && attempt == 0;
+            let task =
+                run_scheme_task(&cfg, SchemeSpec::soi(), &world, 11, i, cache.as_ref(), 2, &fault)
+                    .expect("one retry recovers");
+            folder.absorb(i, task.result);
+        }
+        let retried = folder.finish();
         assert_results_identical(&plain, &retried);
         assert_eq!(retried.counters.tasks_retried, 1);
         assert_eq!(retried.counters.faults_injected, 1);
@@ -2391,64 +2178,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_replay_folds_byte_identically_and_counts_resumes() {
-        let mut cfg = sharded_cfg(2);
-        cfg.repetitions = 2;
-        let world = ShardedWorld::lazy(&cfg, 13);
-        let store: std::sync::Mutex<std::collections::BTreeMap<usize, RunResult>> =
-            std::sync::Mutex::new(std::collections::BTreeMap::new());
-        let persist = |i: usize, r: &RunResult| {
-            store.lock().unwrap().insert(i, r.clone());
-        };
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { persist: Some(&persist), ..TaskHooks::observed(&obs) };
-        let first = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
-        let n_tasks = cfg.repetitions * 2;
-        assert_eq!(store.lock().unwrap().len(), n_tasks, "one persisted record per task");
-
-        // Replay half the tasks from the store (as a resume would, after
-        // a round-trip through the wire form), simulate the rest.
-        let cached = |i: usize| -> Option<RunResult> {
-            if i.is_multiple_of(2) {
-                let r = store.lock().unwrap().get(&i).cloned().expect("persisted");
-                Some(RunResult::from_value(&r.to_value()).expect("wire roundtrip"))
-            } else {
-                None
-            }
-        };
-        let hooks = TaskHooks { cached: Some(&cached), ..TaskHooks::observed(&obs) };
-        let resumed = run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
-        assert_results_identical(&first, &resumed);
-        assert_eq!(resumed.counters.tasks_resumed, n_tasks.div_ceil(2) as u64);
-    }
-
-    #[test]
     fn exhausted_retries_raise_a_task_failure_span() {
         let cfg = sharded_cfg(2);
         let world = ShardedWorld::lazy(&cfg, 17);
-        let fault = |task: usize, _attempt: u64| task == 1;
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 17, 1, &hooks)
-        }))
-        .expect_err("budget exhausted");
-        let failure = err.downcast_ref::<TaskFailure>().expect("TaskFailure payload");
+        let failure = run_scheme_task(&cfg, SchemeSpec::soi(), &world, 17, 1, None, 2, &|_| true)
+            .expect_err("budget exhausted");
         assert_eq!((failure.rep, failure.shard, failure.attempts), (0, 1, 2));
         assert!(failure.message.contains("injected worker fault"), "{}", failure.message);
-    }
-
-    #[test]
-    fn cancel_flag_raises_task_cancelled() {
-        let cfg = sharded_cfg(2);
-        let world = ShardedWorld::lazy(&cfg, 19);
-        let cancel = std::sync::atomic::AtomicBool::new(true);
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { cancel: Some(&cancel), ..TaskHooks::observed(&obs) };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme_shards(&cfg, SchemeSpec::soi(), &world, 19, 1, &hooks)
-        }))
-        .expect_err("cancelled before the first task");
-        assert!(err.downcast_ref::<TaskCancelled>().is_some(), "TaskCancelled payload");
+        let text = failure.to_string();
+        assert!(text.starts_with("repetition 0 shard 1 failed after 2 attempt(s): "), "{text}");
     }
 }

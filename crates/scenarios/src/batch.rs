@@ -25,6 +25,13 @@
 //! strictly in job order, making the byte stream identical at 1 and N
 //! threads (asserted by `tests/scenarios.rs`).
 //!
+//! Crash safety lives here too, around the driver's task body
+//! ([`run_scheme_task`], which runs one task and returns its result): each
+//! worker checks the cancel flag, replays a checkpointed result or runs
+//! the task (bounded retry, injected faults) and persists it, then emits
+//! the task's heartbeat. A task that cannot finish surfaces as one typed
+//! abort the collector turns into the run's error.
+//!
 //! Telemetry — wall-clock spans, deterministic work counters, the
 //! shard-level heartbeat — flows through [`Telemetry`] sinks and never
 //! into the result JSONL: the default bundle renders the classic stderr
@@ -33,14 +40,14 @@
 //! is an empty bundle.
 
 use crate::checkpoint::{CheckpointWriter, WriteFaults};
-use crate::faults::{FaultPlan, ResolvedFaults};
+use crate::faults::FaultPlan;
 use crate::schemes::scheme_key;
 use insomnia_core::{
     completion_quantiles, online_time_quantiles, run_scheme_task, summarize, RunResult,
-    ScenarioConfig, SchemeFolder, SchemeProgress, SchemeResult, SchemeSpec, ShardedWorld,
-    TaskCancelled, TaskFailure, TaskHooks, WorldProtoCache,
+    ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld, TaskFailure, TaskRun,
+    WorldProtoCache,
 };
-use insomnia_simcore::{par_fold_grouped, SimError, SimResult, SimRng};
+use insomnia_simcore::{panic_message, par_fold_grouped, SimError, SimResult, SimRng};
 use insomnia_telemetry::{
     JobTelemetryRecord, ManifestRecord, ManifestScenario, PhaseAccum, RunCounters, SummaryRecord,
     TaskRecord, Telemetry, TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
@@ -48,7 +55,7 @@ use insomnia_telemetry::{
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -334,7 +341,8 @@ pub struct RunControl {
     /// bytes in index order — the output stays byte-identical.
     pub resume: Option<BTreeMap<(usize, usize), RunResult>>,
     /// Deterministic fault plan (worker panics, checkpoint IO errors,
-    /// torn tail), resolved against the batch's global task ordinals.
+    /// torn tail), resolved against the batch's global task ordinals; an
+    /// ordinal outside the batch fails the run before any task starts.
     pub faults: Option<FaultPlan>,
     /// Cooperative cancellation (the SIGINT path): once set, workers stop
     /// claiming tasks and the run exits with [`SimError::Interrupted`]
@@ -352,22 +360,10 @@ impl Default for RunControl {
     }
 }
 
-/// Per-job slice of the run-wide control state, handed to [`run_job_task`].
-struct JobControl<'a> {
-    writer: Option<&'a CheckpointWriter>,
-    cache: Option<&'a Mutex<BTreeMap<(usize, usize), RunResult>>>,
-    faults: Option<&'a ResolvedFaults>,
-    cancel: Option<&'a AtomicBool>,
-    max_attempts: usize,
-    /// First global task ordinal of this job (fault plans and checkpoint
-    /// records address tasks run-wide, not per job).
-    task_base: usize,
-}
-
 /// Per-job bookkeeping of the task pool: the job's coordinates and
-/// config plus the pieces shared between worker threads (progress atomics,
-/// lazily stamped start time). The deterministic fold state lives on the
-/// collector as one [`SchemeFolder`] per job.
+/// config plus the pieces shared between worker threads (heartbeat
+/// atomics, lazily stamped start time). The deterministic fold state lives
+/// on the collector as one [`SchemeFolder`] per job.
 struct JobState<'a> {
     j: usize,
     name: &'a str,
@@ -380,92 +376,65 @@ struct JobState<'a> {
     world: &'a ShardedWorld,
     seed: u64,
     n_shards: usize,
-    progress: SchemeProgress,
+    /// First global task ordinal of the job (fault plans and checkpoint
+    /// records address tasks run-wide, not per job).
+    task_base: usize,
+    /// Tasks finished so far, counted by the workers.
+    finished: AtomicUsize,
+    /// Tasks absorbed by the job's in-order folder, echoed back by the
+    /// collector.
+    merged: AtomicUsize,
     /// Stamped by whichever worker claims the job's first task; read when
     /// the last task folds to report the job's wall-clock span.
     started: OnceLock<Instant>,
 }
 
-/// Panic payload the worker wraps around a task abort ([`TaskCancelled`]
-/// or [`TaskFailure`]) so the collector can name the failed job.
-struct BatchTaskAbort {
-    job: usize,
-    inner: Box<dyn std::any::Any + Send>,
-}
-
-/// One `(repetition × shard)` task of a job: assembles the
-/// observe/resume/persist/fault hooks from the run-wide control state, then
-/// runs the single task against the job's world — consuming one reference
-/// of the world's prototype cache if one is active.
-///
-/// The observer reports each task from the worker thread the moment its
-/// event loop drains (so one slow early shard never silences progress),
-/// carrying merge progress (`merged shards: k/n` plus the folder-queue
-/// depth — how far completion ran ahead of the deterministic in-order
-/// merge), the task's phase timings and its deterministic counters. The
-/// human sink renders the classic heartbeat for sharded jobs only; the
-/// sidecar records every task. The result JSONL is untouched either way.
-fn run_job_task(
-    js: &JobState<'_>,
-    i: usize,
-    cache: Option<&WorldProtoCache>,
-    tel: &Telemetry,
-    phases: &Mutex<TaskPhases>,
-    jc: &JobControl<'_>,
-) -> RunResult {
-    let j = js.j;
-    let observe = move |p: insomnia_core::TaskProgress| {
+impl JobState<'_> {
+    /// Emits task `i`'s heartbeat from the worker, the moment the task
+    /// finishes (so one slow early shard never silences progress). It
+    /// carries merge progress — `merged` plus the fold queue, how far
+    /// completion ran ahead of the deterministic in-order merge — the
+    /// task's phase timings and its deterministic counters. The human sink
+    /// renders the classic heartbeat for sharded jobs only; the sidecar
+    /// records every task. The result JSONL is untouched either way.
+    fn heartbeat(&self, i: usize, task: &TaskRun, tel: &Telemetry, phases: &Mutex<TaskPhases>) {
+        let finished = self.finished.fetch_add(1, Ordering::Relaxed) + 1;
+        let merged = self.merged.load(Ordering::Relaxed);
         {
             let mut ph = phases.lock().expect("phase lock");
-            if p.setup_ms > 0.0 {
-                ph.world_build.add(p.setup_ms);
+            if task.setup_ms > 0.0 {
+                ph.world_build.add(task.setup_ms);
             }
-            ph.event_loop.add(p.loop_ms);
+            ph.event_loop.add(task.loop_ms);
         }
         tel.emit(&TelemetryRecord::Task(TaskRecord {
-            job: j,
-            scenario: js.name.to_string(),
-            scheme: js.scheme.clone(),
-            seed_index: js.seed_index,
-            rep: p.rep,
-            shard: p.shard,
-            n_shards: p.n_shards,
-            setup_ms: p.setup_ms,
-            loop_ms: p.loop_ms,
-            finished: p.finished,
-            total: p.total,
-            merged: p.merged,
-            fold_queue: p.fold_queue,
-            counters: p.counters,
+            job: self.j,
+            scenario: self.name.to_string(),
+            scheme: self.scheme.clone(),
+            seed_index: self.seed_index,
+            rep: i / self.n_shards,
+            shard: i % self.n_shards,
+            n_shards: self.n_shards,
+            setup_ms: task.setup_ms,
+            loop_ms: task.loop_ms,
+            finished,
+            total: self.cfg.repetitions * self.n_shards,
+            merged,
+            fold_queue: finished.saturating_sub(merged + 1),
+            counters: task.result.counters,
         }));
-    };
-    let n_shards = js.n_shards;
-    let base = jc.task_base;
-    // The closures must be bound to locals (not temporaries) because
-    // `TaskHooks` borrows them for the whole run.
-    let cached_fn;
-    let persist_fn;
-    let fault_fn;
-    let mut hooks = TaskHooks {
-        max_attempts: jc.max_attempts,
-        cancel: jc.cancel,
-        ..TaskHooks::observed(&observe)
-    };
-    if let Some(cache) = jc.cache {
-        cached_fn = move |i: usize| cache.lock().expect("resume cache").remove(&(j, i));
-        hooks.cached = Some(&cached_fn);
     }
-    if let Some(writer) = jc.writer {
-        persist_fn = move |i: usize, r: &RunResult| {
-            writer.write_task(base + i, j, i, i / n_shards, i % n_shards, r);
-        };
-        hooks.persist = Some(&persist_fn);
-    }
-    if let Some(f) = jc.faults {
-        fault_fn = move |i: usize, attempt: u64| f.should_panic(base + i, attempt);
-        hooks.fault = Some(&fault_fn);
-    }
-    run_scheme_task(js.cfg, js.spec, js.world, js.seed, i, cache, &hooks, &js.progress)
+}
+
+/// Why a task stopped the run — the one panic payload the workers raise,
+/// so the collector can name the failed job.
+enum TaskAbort {
+    /// The cancel flag was set before the task started.
+    Cancelled,
+    /// The task exhausted its retry budget.
+    Failed { job: usize, failure: TaskFailure },
+    /// Anything else panicked in the worker (a bug, not a fault).
+    Panicked { job: usize, message: String },
 }
 
 /// Decodes job index `j` into `(scenario, scheme, seed)` coordinates.
@@ -536,6 +505,10 @@ pub fn run_batch<W: Write>(
     batch.validate()?;
     let wall_start = Instant::now();
     let n_jobs = batch.n_jobs();
+    // The fault plan resolves against the batch's global task ordinals
+    // before anything runs, so an out-of-range ordinal fails up front.
+    let bases = task_bases(batch);
+    let faults = ctl.faults.as_ref().map(|p| p.resolve(bases[n_jobs])).transpose()?;
 
     tel.emit(&TelemetryRecord::Manifest(ManifestRecord {
         version: TELEMETRY_SCHEMA_VERSION,
@@ -562,12 +535,9 @@ pub fn run_batch<W: Write>(
     // drops it on completion, keeping peak RSS at O(threads × shard).
     let worlds = build_worlds(batch);
 
-    // Crash-safety state. The fault plan resolves against the batch's
-    // global task ordinals; write-side faults (IO errors, torn tail) are
-    // installed into the checkpoint writer, panic faults ride into the
-    // per-task hooks.
-    let bases = task_bases(batch);
-    let faults = ctl.faults.as_ref().map(|p| p.resolve(bases[n_jobs]));
+    // Crash-safety state: write-side faults (IO errors, torn tail) are
+    // installed into the checkpoint writer, panic faults ride into each
+    // task's retry loop.
     if let (Some(writer), Some(f)) = (&ctl.checkpoint, &faults) {
         writer.set_faults(WriteFaults {
             io_error_tasks: f.io_error_tasks.clone(),
@@ -575,8 +545,7 @@ pub fn run_batch<W: Write>(
         });
     }
     let writer = ctl.checkpoint;
-    let resuming = ctl.resume.is_some();
-    let cache = Mutex::new(ctl.resume.unwrap_or_default());
+    let resume = ctl.resume.map(Mutex::new);
     let cancel = ctl.cancel;
     let max_attempts = ctl.max_attempts.max(1);
 
@@ -599,7 +568,7 @@ pub fn run_batch<W: Write>(
     let mut first_failure: Option<String> = None;
     let mut cancelled = false;
 
-    // Per-job state shared by the workers (progress atomics, start stamp);
+    // Per-job state shared by the workers (heartbeat atomics, start stamp);
     // the deterministic fold state — one folder per job — lives on the
     // collector below.
     let jobs: Vec<JobState<'_>> = (0..n_jobs)
@@ -619,7 +588,9 @@ pub fn run_batch<W: Write>(
                 world: &worlds[si * batch.seeds + ki],
                 seed: job_seed(cfg.seed, ki),
                 n_shards,
-                progress: SchemeProgress::new(cfg.repetitions * n_shards, n_shards),
+                task_base: bases[j],
+                finished: AtomicUsize::new(0),
+                merged: AtomicUsize::new(0),
                 started: OnceLock::new(),
             }
         })
@@ -678,26 +649,62 @@ pub fn run_batch<W: Write>(
                 let (j, i) = plan[pos];
                 let js = &jobs[j];
                 js.started.get_or_init(Instant::now);
-                let jc = JobControl {
-                    writer: writer.as_ref(),
-                    cache: resuming.then_some(&cache),
-                    faults: faults.as_ref(),
-                    cancel: cancel.as_deref(),
-                    max_attempts,
-                    task_base: bases[j],
+                let cache = caches[js.world_idx].as_ref();
+                let ordinal = js.task_base + i;
+                // The task's steps, in order: cancel check, checkpoint
+                // replay or simulation + persist, heartbeat.
+                let task = || -> Result<RunResult, TaskAbort> {
+                    if cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+                        return Err(TaskAbort::Cancelled);
+                    }
+                    // Checkpoint replay: a cached result folds exactly like a
+                    // fresh one (same index, same bytes); only the
+                    // resumed-task counter records the difference.
+                    let replayed = resume
+                        .as_ref()
+                        .and_then(|r| r.lock().expect("resume cache").remove(&(j, i)));
+                    let run = if let Some(mut result) = replayed {
+                        result.counters.tasks_resumed += 1;
+                        // A replayed task never touches the prototype;
+                        // release its claim so the shard still frees at its
+                        // true last consumer.
+                        if let Some(cache) = cache {
+                            cache.skip(i % js.n_shards);
+                        }
+                        TaskRun { result, setup_ms: 0.0, loop_ms: 0.0 }
+                    } else {
+                        let fault = |attempt: u64| {
+                            faults.as_ref().is_some_and(|f| f.should_panic(ordinal, attempt))
+                        };
+                        let run = run_scheme_task(
+                            js.cfg,
+                            js.spec,
+                            js.world,
+                            js.seed,
+                            i,
+                            cache,
+                            max_attempts,
+                            &fault,
+                        )
+                        .map_err(|failure| TaskAbort::Failed { job: j, failure })?;
+                        if let Some(writer) = &writer {
+                            let (rep, shard) = (i / js.n_shards, i % js.n_shards);
+                            writer.write_task(ordinal, j, i, rep, shard, &run.result);
+                        }
+                        run
+                    };
+                    js.heartbeat(i, &run, tel, &phases);
+                    Ok(run.result)
                 };
-                // Tag aborts with the job so the collector can name the
-                // failed span.
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_job_task(js, i, caches[js.world_idx].as_ref(), tel, &phases, &jc)
-                })) {
-                    Ok(r) => r,
-                    Err(inner) => std::panic::panic_any(BatchTaskAbort { job: j, inner }),
-                }
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task))
+                    .unwrap_or_else(|payload| {
+                        Err(TaskAbort::Panicked { job: j, message: panic_message(&*payload) })
+                    });
+                outcome.unwrap_or_else(|abort| std::panic::panic_any(abort))
             },
             |j, step, run| {
                 let js = &jobs[j];
-                js.progress.note_merged(step.index + 1);
+                js.merged.store(step.index + 1, Ordering::Relaxed);
                 let folder = folders[j].as_mut().expect("one fold per task");
                 folder.absorb(step.index, run);
                 if step.index + 1 != folder.n_tasks() {
@@ -755,33 +762,23 @@ pub fn run_batch<W: Write>(
         )
     }));
     if let Err(payload) = outcome {
-        let abort = match payload.downcast::<BatchTaskAbort>() {
-            Ok(abort) => abort,
+        let abort = match payload.downcast::<TaskAbort>() {
+            Ok(abort) => *abort,
             Err(payload) => std::panic::resume_unwind(payload),
         };
-        let j = abort.job;
-        if abort.inner.downcast_ref::<TaskCancelled>().is_some() {
-            cancelled = true;
-        } else if let Some(f) = abort.inner.downcast_ref::<TaskFailure>() {
-            let (si, ci, ki) = job_coords(batch, j);
-            first_failure = Some(format!(
-                "job {j} ({} / {} seed {ki}): repetition {} shard {} failed after {} \
-                 attempt(s): {}",
-                batch.scenarios[si].0,
-                scheme_key(batch.schemes[ci]),
-                f.rep,
-                f.shard,
-                f.attempts,
-                f.message,
-            ));
-        } else {
-            let msg = abort
-                .inner
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| abort.inner.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            first_failure = Some(format!("job {j} panicked: {msg}"));
+        match abort {
+            TaskAbort::Cancelled => cancelled = true,
+            TaskAbort::Failed { job, failure } => {
+                let (si, ci, ki) = job_coords(batch, job);
+                first_failure = Some(format!(
+                    "job {job} ({} / {} seed {ki}): {failure}",
+                    batch.scenarios[si].0,
+                    scheme_key(batch.schemes[ci]),
+                ));
+            }
+            TaskAbort::Panicked { job, message } => {
+                first_failure = Some(format!("job {job} panicked: {message}"));
+            }
         }
     }
     if let Some(e) = io_err {
@@ -1134,9 +1131,44 @@ mod tests {
         dir.join(name)
     }
 
-    fn run_controlled(batch: &BatchRun, ctl: RunControl) -> (SimResult<BatchSummary>, Vec<u8>) {
+    /// A sink keeping every telemetry record the run emits.
+    #[derive(Clone, Default)]
+    struct Captured(Arc<Mutex<Vec<TelemetryRecord>>>);
+
+    impl insomnia_telemetry::TelemetrySink for Captured {
+        fn record(&self, rec: &TelemetryRecord) {
+            self.0.lock().unwrap().push(rec.clone());
+        }
+    }
+
+    impl Captured {
+        /// The sidecar summary's counter totals.
+        fn summary_counters(&self) -> RunCounters {
+            self.0
+                .lock()
+                .unwrap()
+                .iter()
+                .find_map(|r| match r {
+                    TelemetryRecord::Summary(s) => Some(s.counters),
+                    _ => None,
+                })
+                .expect("summary record")
+        }
+    }
+
+    fn run_captured(
+        batch: &BatchRun,
+        ctl: RunControl,
+    ) -> (SimResult<BatchSummary>, Vec<u8>, Captured) {
+        let captured = Captured::default();
+        let tel = Telemetry::quiet().with_sink(Box::new(captured.clone()));
         let mut buf = Vec::new();
-        let res = run_batch(batch, &mut buf, &Telemetry::quiet(), ctl);
+        let res = run_batch(batch, &mut buf, &tel, ctl);
+        (res, buf, captured)
+    }
+
+    fn run_controlled(batch: &BatchRun, ctl: RunControl) -> (SimResult<BatchSummary>, Vec<u8>) {
+        let (res, buf, _) = run_captured(batch, ctl);
         (res, buf)
     }
 
@@ -1170,9 +1202,10 @@ mod tests {
             resume: Some(loaded.tasks),
             ..RunControl::default()
         };
-        let (res, resumed) = run_controlled(&batch, ctl);
+        let (res, resumed, captured) = run_captured(&batch, ctl);
         res.unwrap();
         assert_eq!(resumed, reference, "resume must be byte-identical");
+        assert_eq!(captured.summary_counters().tasks_resumed, 3);
 
         // The re-simulated task appended, so a second load sees all four
         // again (the replayed three were not rewritten).
@@ -1190,9 +1223,24 @@ mod tests {
         // Panic two of the four tasks once each; one retry recovers.
         let plan = FaultPlan { panic_tasks: vec![1, 2], ..FaultPlan::default() };
         let ctl = RunControl { faults: Some(plan), max_attempts: 2, ..RunControl::default() };
-        let (res, faulted) = run_controlled(&batch, ctl);
+        let (res, faulted, captured) = run_captured(&batch, ctl);
         res.unwrap();
         assert_eq!(faulted, reference, "retried tasks must replay the identical stream");
+        let counters = captured.summary_counters();
+        assert_eq!((counters.tasks_retried, counters.faults_injected), (2, 2));
+    }
+
+    #[test]
+    fn out_of_range_fault_ordinals_fail_before_any_task_runs() {
+        let batch = tiny_batch(2);
+        let plan = FaultPlan { panic_tasks: vec![99], panic_attempts: 5, ..FaultPlan::default() };
+        let ctl = RunControl { faults: Some(plan), max_attempts: 2, ..RunControl::default() };
+        let (res, out, captured) = run_captured(&batch, ctl);
+        let err = res.unwrap_err().to_string();
+        assert!(err.contains("panic_tasks ordinal 99"), "{err}");
+        assert!(err.contains("the batch has 4 task(s)"), "{err}");
+        assert!(out.is_empty(), "no job may finish");
+        assert!(captured.0.lock().unwrap().is_empty(), "no record, not even the manifest");
     }
 
     #[test]

@@ -511,10 +511,7 @@ pub fn load_checkpoint(path: &Path) -> SimResult<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insomnia_core::{
-        run_scheme_task, ScenarioConfig, SchemeProgress, SchemeSpec, ShardedWorld, TaskHooks,
-        TaskProgress,
-    };
+    use insomnia_core::{run_scheme_task, ScenarioConfig, SchemeSpec, ShardedWorld};
 
     /// Known-answer CRC-32 vectors (IEEE reflected; same answers as zlib).
     #[test]
@@ -538,11 +535,9 @@ mod tests {
     fn sample_result() -> RunResult {
         let cfg = ScenarioConfig::smoke();
         let world = ShardedWorld::lazy(&cfg, 7);
-        let obs = |_: TaskProgress| {};
-        let n_shards = world.n_shards();
-        let progress = SchemeProgress::new(cfg.repetitions * n_shards, n_shards);
-        let hooks = TaskHooks::observed(&obs);
-        run_scheme_task(&cfg, SchemeSpec::soi(), &world, 7, 0, None, &hooks, &progress)
+        run_scheme_task(&cfg, SchemeSpec::soi(), &world, 7, 0, None, 1, &|_| false)
+            .expect("clean task")
+            .result
     }
 
     #[test]

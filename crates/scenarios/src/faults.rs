@@ -114,7 +114,23 @@ impl FaultPlan {
 
     /// Materializes the plan against a batch of `n_tasks` global task
     /// ordinals: resolves the seeded-random panics into concrete ordinals.
-    pub fn resolve(&self, n_tasks: usize) -> ResolvedFaults {
+    /// A named ordinal outside the batch (`>= n_tasks`) would silently
+    /// never fire, so it is an error naming the ordinal and the count.
+    pub fn resolve(&self, n_tasks: usize) -> SimResult<ResolvedFaults> {
+        let named = self
+            .panic_tasks
+            .iter()
+            .map(|&o| ("panic_tasks", o))
+            .chain(self.io_error_tasks.iter().map(|&o| ("io_error_tasks", o)))
+            .chain(self.torn_tail_task.map(|o| ("torn_tail_task", o)));
+        for (key, ordinal) in named {
+            if ordinal >= n_tasks {
+                return Err(SimError::InvalidInput(format!(
+                    "fault plan: {key} ordinal {ordinal} is out of range: the batch has \
+                     {n_tasks} task(s)"
+                )));
+            }
+        }
         let mut panics: BTreeSet<usize> = self.panic_tasks.iter().copied().collect();
         if self.random_panics > 0 && n_tasks > 0 {
             let mut rng = SimRng::new(self.seed).fork_idx("faults", 0);
@@ -123,12 +139,12 @@ impl FaultPlan {
                 panics.insert(rng.below_usize(n_tasks));
             }
         }
-        ResolvedFaults {
+        Ok(ResolvedFaults {
             panics,
             panic_attempts: self.panic_attempts.max(1),
             io_error_tasks: self.io_error_tasks.iter().copied().collect(),
             torn_tail_task: self.torn_tail_task,
-        }
+        })
     }
 }
 
@@ -171,7 +187,7 @@ mod tests {
         assert_eq!(plan.io_error_tasks, vec![5]);
         assert_eq!(plan.torn_tail_task, Some(9));
 
-        let r = plan.resolve(16);
+        let r = plan.resolve(16).unwrap();
         assert!(r.should_panic(3, 0));
         assert!(!r.should_panic(3, 1), "retry attempt must succeed");
         assert!(!r.should_panic(4, 0));
@@ -192,17 +208,46 @@ mod tests {
     #[test]
     fn random_panics_are_seeded_and_deterministic() {
         let plan = FaultPlan { random_panics: 3, seed: 42, ..FaultPlan::default() };
-        let a: Vec<usize> = plan.resolve(100).panic_ordinals().collect();
-        let b: Vec<usize> = plan.resolve(100).panic_ordinals().collect();
+        let a: Vec<usize> = plan.resolve(100).unwrap().panic_ordinals().collect();
+        let b: Vec<usize> = plan.resolve(100).unwrap().panic_ordinals().collect();
         assert_eq!(a, b, "same seed, same ordinals");
         assert_eq!(a.len(), 3);
         assert!(a.iter().all(|&o| o < 100));
         let c: Vec<usize> =
-            FaultPlan { seed: 43, ..plan.clone() }.resolve(100).panic_ordinals().collect();
+            FaultPlan { seed: 43, ..plan.clone() }.resolve(100).unwrap().panic_ordinals().collect();
         assert_ne!(a, c, "different seed, different ordinals");
         // More random panics than tasks saturates instead of spinning.
         let all: Vec<usize> =
-            FaultPlan { random_panics: 10, ..plan }.resolve(4).panic_ordinals().collect();
+            FaultPlan { random_panics: 10, ..plan }.resolve(4).unwrap().panic_ordinals().collect();
         assert_eq!(all, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn out_of_range_ordinals_are_rejected() {
+        let in_range = FaultPlan {
+            panic_tasks: vec![1],
+            io_error_tasks: vec![0],
+            torn_tail_task: Some(1),
+            ..FaultPlan::default()
+        };
+        assert!(in_range.resolve(2).is_ok());
+        for (plan, named) in [
+            (
+                FaultPlan { panic_tasks: vec![0, 99], ..FaultPlan::default() },
+                "panic_tasks ordinal 99",
+            ),
+            (
+                FaultPlan { io_error_tasks: vec![2], ..FaultPlan::default() },
+                "io_error_tasks ordinal 2",
+            ),
+            (
+                FaultPlan { torn_tail_task: Some(2), ..FaultPlan::default() },
+                "torn_tail_task ordinal 2",
+            ),
+        ] {
+            let err = plan.resolve(2).unwrap_err().to_string();
+            assert!(err.contains(&format!("{named} is out of range")), "{err}");
+            assert!(err.contains("the batch has 2 task(s)"), "{err}");
+        }
     }
 }

@@ -13,8 +13,9 @@
 //!   ([`Welford`], [`TimeWeighted`], [`Histogram`], [`Cdf`], [`BinSeries`]),
 //!   and
 //! * deterministic index-addressed fan-out ([`par_map_indexed`]) and its
-//!   streaming in-order sibling ([`par_fold_indexed`]) for the layers above
-//!   that run independent shards/repetitions/jobs in parallel.
+//!   streaming in-order sibling ([`par_fold_grouped`], with
+//!   [`par_fold_indexed`] its one-group case) for the layers above that run
+//!   independent shards/repetitions/jobs in parallel.
 //!
 //! ## Design notes
 //!
@@ -62,8 +63,8 @@ pub mod time;
 pub use engine::Scheduler;
 pub use error::{SimError, SimResult};
 pub use par::{
-    default_threads, par_fold_grouped, par_fold_indexed, par_map_indexed, retry_unwind, FoldStep,
-    Retried,
+    default_threads, panic_message, par_fold_grouped, par_fold_indexed, par_map_indexed,
+    retry_unwind, FoldStep, Retried,
 };
 pub use queue::{EventQueue, EventToken};
 pub use rng::{SimRng, SplitMix64};

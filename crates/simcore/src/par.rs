@@ -6,6 +6,8 @@
 //! index-addressed result buffer. Results are placed by index, never by
 //! completion order, so the output is bit-for-bit identical at any worker
 //! count — the property the batch runner's JSONL determinism test pins.
+//! In-order streaming folds go through one pool, [`par_fold_grouped`];
+//! [`par_fold_indexed`] is its one-group case.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,21 +56,17 @@ pub fn par_map_indexed<T: Send, F: Fn(usize) -> T + Sync>(
     slots.into_iter().map(|s| s.expect("worker completed task")).collect()
 }
 
-/// One in-order delivery of [`par_fold_indexed`]: task `index`'s result is
-/// being folded, with `queued` later results parked out of order behind it.
-///
-/// `queued` is the folder-queue depth — how far completion order ran ahead
-/// of fold order. It depends on scheduling (always 0 single-threaded), so
-/// it belongs in progress heartbeats, never in deterministic output.
+/// One in-order delivery of [`par_fold_grouped`] (and
+/// [`par_fold_indexed`]): the index of the task whose result is being
+/// folded.
 #[derive(Debug, Clone, Copy)]
 pub struct FoldStep {
-    /// Index of the task being folded (strictly increasing, `0..n`).
+    /// Index of the task being folded (strictly increasing within its
+    /// group; `0..n` for [`par_fold_indexed`]).
     pub index: usize,
-    /// Results already completed but waiting for earlier indices to fold.
-    pub queued: usize,
 }
 
-/// Claim-side backpressure of [`par_fold_indexed`]: a counting gate that
+/// Claim-side backpressure of [`par_fold_grouped`]: a counting gate that
 /// caps how many task indices may be outstanding (claimed but not yet
 /// folded) at once. Without it, one slow early task would let the other
 /// workers run arbitrarily far ahead and park up to `n − 1` full results
@@ -126,112 +124,28 @@ impl Drop for GateCloseGuard<'_> {
 }
 
 /// Runs `n` independent tasks on at most `max_threads` workers and folds
-/// every result **in index order** on the calling thread.
+/// every result **in index order** on the calling thread: the one-group
+/// case of [`par_fold_grouped`].
 ///
-/// This is the streaming sibling of [`par_map_indexed`]: instead of an
-/// index-addressed result buffer that retains all `n` outputs, workers
-/// emit `(index, result)` pairs and a deterministic folder absorbs them
-/// strictly in order `0, 1, …, n-1` — results arriving early are parked in
-/// a reorder buffer whose depth is reported through [`FoldStep::queued`].
-/// A claim-side gate ([`FoldGate`]) caps outstanding (claimed-but-not-yet-
-/// folded) indices at `2 × workers`, so live state is the accumulator plus
-/// an O(workers) out-of-order window even when one early task runs
-/// arbitrarily longer than its successors — never O(n).
-///
-/// Because `fold` always observes the same `(index, result)` sequence, the
-/// final accumulator is bit-for-bit identical at any worker count — the
-/// same property [`par_map_indexed`] pins, without the O(n) buffer.
-/// With `max_threads <= 1` (or `n <= 1`) tasks run inline and fold
-/// immediately.
+/// This is the streaming sibling of [`par_map_indexed`]: no index-addressed
+/// buffer retains all `n` outputs; live state is the accumulator plus an
+/// O(workers) out-of-order window. Because `fold` always observes the same
+/// `(index, result)` sequence, the final accumulator is bit-for-bit
+/// identical at any worker count.
 pub fn par_fold_indexed<T: Send, F: Fn(usize) -> T + Sync>(
     n: usize,
     max_threads: usize,
     f: F,
     mut fold: impl FnMut(FoldStep, T),
 ) {
-    let threads = max_threads.min(n).max(1);
-    if threads == 1 {
-        for i in 0..n {
-            fold(FoldStep { index: i, queued: 0 }, f(i));
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    // 2 × workers outstanding claims: enough slack that the folder never
-    // starves workers (each worker's final over-the-end claim also burns
-    // a permit, and n folds release n permits), small enough that the
-    // reorder buffer stays O(workers).
-    let gate = FoldGate::new(2 * threads);
-    // A panicking task would leave a hole the in-order folder can never
-    // fold past — with everyone else parked on the gate, that's a
-    // deadlock, not a failure. Workers therefore catch the payload,
-    // close the gate (waking peers so every thread exits cleanly), and
-    // the panic is re-raised on the calling thread after the scope.
-    let panicked: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-        std::sync::Mutex::new(None);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let gate = &gate;
-            let panicked = &panicked;
-            let f = &f;
-            scope.spawn(move || loop {
-                if !gate.acquire() {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                    Ok(v) => {
-                        if tx.send((i, v)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(payload) => {
-                        let mut slot = panicked.lock().expect("panic slot lock");
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        drop(slot);
-                        gate.close();
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Reorder buffer: fold result `k` only once results `0..k` folded.
-        // The guard closes the gate on every exit path (normal or a
-        // panicking `fold`), releasing any parked workers.
-        let _close = GateCloseGuard(&gate);
-        let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-        let mut next = 0usize;
-        for (i, v) in rx {
-            pending.insert(i, v);
-            while let Some(v) = pending.remove(&next) {
-                fold(FoldStep { index: next, queued: pending.len() }, v);
-                next += 1;
-                gate.release();
-            }
-        }
-        debug_assert!(
-            panicked.lock().expect("panic slot lock").is_some()
-                || (pending.is_empty() && next == n),
-            "all results folded"
-        );
-    });
-    if let Some(payload) = panicked.into_inner().expect("panic slot lock") {
-        std::panic::resume_unwind(payload);
-    }
+    let tasks: Vec<(usize, usize)> = (0..n).map(|i| (0, i)).collect();
+    par_fold_grouped(&tasks, max_threads, f, |_, step, v| fold(step, v));
 }
 
 /// Runs an *interleaved* task pool on at most `max_threads` workers and
-/// feeds several per-group in-order folders from it — the multi-fold
-/// sibling of [`par_fold_indexed`].
+/// feeds several per-group in-order folders from it — the one in-order
+/// worker pool of the workspace ([`par_fold_indexed`] is its one-group
+/// case).
 ///
 /// `tasks[pos] = (group, index)` lists every task in execution order:
 /// workers claim positions left to right through one atomic cursor, so the
@@ -247,17 +161,21 @@ pub fn par_fold_indexed<T: Send, F: Fn(usize) -> T + Sync>(
 /// `tasks`. Then the globally oldest outstanding claimed position's
 /// same-group predecessors are all folded already, so its completion
 /// always folds immediately and returns a claim permit — the gate
-/// (`2 × workers` permits, exactly as in [`par_fold_indexed`]) can never
-/// wedge with every worker parked behind an unfoldable hole.
+/// (`2 × workers` permits) can never wedge with every worker parked behind
+/// an unfoldable hole.
 ///
 /// `f(pos)` must depend only on `tasks[pos]` (and captured shared state).
-/// The fold callback receives the task's group, a [`FoldStep`] whose
-/// `index` is the within-group index and whose `queued` counts results
-/// parked across *all* groups, and the task's result. With
-/// `max_threads <= 1` (or one task) tasks run inline and fold in execution
-/// order — valid because, per group, execution order *is* index order.
-/// Worker panics propagate to the caller after the pool drains, exactly
-/// like [`par_fold_indexed`].
+/// The fold callback receives the task's group, a [`FoldStep`] carrying
+/// the within-group index, and the task's result. With `max_threads <= 1`
+/// (or one task) tasks run inline and fold in execution order — valid
+/// because, per group, execution order *is* index order.
+///
+/// A panicking task would leave a hole the in-order folder can never fold
+/// past — with everyone else parked on the gate, that's a deadlock, not a
+/// failure. Workers therefore catch the payload and close the gate (waking
+/// peers so every thread exits cleanly); results already sent still fold,
+/// and the first panic is re-raised on the calling thread after the pool
+/// drains.
 pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
     tasks: &[(usize, usize)],
     max_threads: usize,
@@ -281,12 +199,16 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
     let threads = max_threads.min(n).max(1);
     if threads == 1 {
         for (pos, &(g, i)) in tasks.iter().enumerate() {
-            fold(g, FoldStep { index: i, queued: 0 }, f(pos));
+            fold(g, FoldStep { index: i }, f(pos));
         }
         return;
     }
     let n_groups = tasks.iter().map(|&(g, _)| g + 1).max().unwrap_or(0);
     let cursor = AtomicUsize::new(0);
+    // 2 × workers outstanding claims: enough slack that the folder never
+    // starves workers (each worker's final over-the-end claim also burns a
+    // permit, and n folds release n permits), small enough that the
+    // reorder buffers stay O(workers).
     let gate = FoldGate::new(2 * threads);
     let panicked: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
         std::sync::Mutex::new(None);
@@ -326,8 +248,9 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
         }
         drop(tx);
         // Per-group reorder buffers plus each group's expected index
-        // sequence (its listed order). `parked` counts results waiting
-        // across all groups; the gate keeps it O(workers).
+        // sequence (its listed order); the gate keeps the buffers
+        // O(workers). The guard closes the gate on every exit path (normal
+        // or a panicking `fold`), releasing any parked workers.
         let _close = GateCloseGuard(&gate);
         let mut pending: Vec<BTreeMap<usize, T>> = Vec::new();
         pending.resize_with(n_groups, BTreeMap::new);
@@ -336,22 +259,19 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
         for &(g, i) in tasks {
             expect[g].push_back(i);
         }
-        let mut parked = 0usize;
         for (pos, v) in rx {
-            let (g, _) = tasks[pos];
-            pending[g].insert(tasks[pos].1, v);
-            parked += 1;
+            let (g, i) = tasks[pos];
+            pending[g].insert(i, v);
             while let Some(&want) = expect[g].front() {
                 let Some(v) = pending[g].remove(&want) else { break };
                 expect[g].pop_front();
-                parked -= 1;
-                fold(g, FoldStep { index: want, queued: parked }, v);
+                fold(g, FoldStep { index: want }, v);
                 gate.release();
             }
         }
         debug_assert!(
             panicked.lock().expect("panic slot lock").is_some()
-                || (parked == 0 && expect.iter().all(|q| q.is_empty())),
+                || expect.iter().all(|q| q.is_empty()),
             "all results folded"
         );
     });
@@ -403,6 +323,18 @@ pub fn retry_unwind<T>(
         }
     }
     Err(last_payload.expect("at least one attempt ran"))
+}
+
+/// Best-effort text of a panic payload (matches std's unwind reporting for
+/// `&str`/`String` payloads).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -467,14 +399,29 @@ mod tests {
             4,
             |i| i,
             |step, v| {
-                assert_eq!((step.index, step.queued, v), (0, 0, 0));
+                assert_eq!((step.index, v), (0, 0));
                 seen += 1;
             },
         );
         assert_eq!(seen, 1);
-        // Queue depth is scheduling-dependent but always bounded by the
-        // results still outstanding past the one being folded.
-        par_fold_indexed(64, 8, |i| i, |step, _| assert!(step.queued < 64 - step.index));
+        // The out-of-order window is scheduling-dependent, but the claim
+        // gate bounds started-but-unfolded tasks by 2 × workers — never by
+        // the task count.
+        let started = AtomicUsize::new(0);
+        let mut folded = 0usize;
+        par_fold_indexed(
+            64,
+            8,
+            |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                i
+            },
+            |_, _| {
+                let outstanding = started.load(Ordering::SeqCst) - folded;
+                assert!(outstanding <= 16, "window {outstanding} exceeds 2 x 8 workers");
+                folded += 1;
+            },
+        );
     }
 
     /// The interleaved plan the batch runner uses: groups' indices climb
@@ -529,13 +476,27 @@ mod tests {
             4,
             |pos| pos + 10,
             |g, step, v| {
-                assert_eq!((g, step.index, step.queued, v), (5, 0, 0, 10));
+                assert_eq!((g, step.index, v), (5, 0, 10));
                 seen += 1;
             },
         );
         assert_eq!(seen, 1);
         let plan = round_robin_plan(4, 16);
-        par_fold_grouped(&plan, 8, |pos| pos, |_, step, _| assert!(step.queued < plan.len()));
+        let started = AtomicUsize::new(0);
+        let mut folded = 0usize;
+        par_fold_grouped(
+            &plan,
+            8,
+            |pos| {
+                started.fetch_add(1, Ordering::SeqCst);
+                pos
+            },
+            |_, _, _| {
+                let outstanding = started.load(Ordering::SeqCst) - folded;
+                assert!(outstanding <= 16, "window {outstanding} exceeds 2 x 8 workers");
+                folded += 1;
+            },
+        );
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //!   nature) and the deterministic counters; the result JSONL is never
 //!   touched.
 //! * [`ProfileReport`] — parses a sidecar and renders the phase-breakdown
-//!   table behind `insomnia profile` / `figures --telemetry`: wall-clock
-//!   share, events/s and flows/s per phase, per-task spread, and the
-//!   counter taxonomy.
+//!   table behind `insomnia profile`: wall-clock share, events/s and
+//!   flows/s per phase, per-task spread, and the counter taxonomy.
+//!
+//! The batch runner emits every record: one [`TaskRecord`] heartbeat per
+//! finished `(repetition × shard)` task from the worker that ran it, with
+//! merge progress from the runner's own per-job counters (`merged`, and
+//! `fold_queue` = finished − merged − 1).
 //!
 //! Span taxonomy (one [`PhaseRecord`] each, parent `run`): `config` →
 //! `world-build` (eager builds and the stream setup pass) → `event-loop` →

@@ -100,12 +100,23 @@ fn sidecar_schema_smoke() {
     // Counter consistency: the job record is the fold of its task records,
     // and (with a single job) the summary repeats the job's counters.
     let mut merged = RunCounters::default();
+    let mut finished = Vec::new();
     for r in &recs {
         if let TelemetryRecord::Task(t) = r {
             assert_eq!(t.n_shards, 2);
             merged.merge(&t.counters);
+            // Heartbeat progress: each task reports a unique `finished`
+            // count at completion; the merge snapshot stays in range and
+            // the fold queue (completion ahead of the in-order merge) stays
+            // below the task total.
+            assert_eq!(t.total as u64, tasks);
+            assert!(t.merged <= t.total, "merged {} of {}", t.merged, t.total);
+            assert!(t.fold_queue < t.total, "fold queue {} of {}", t.fold_queue, t.total);
+            finished.push(t.finished as u64);
         }
     }
+    finished.sort_unstable();
+    assert_eq!(finished, (1..=tasks).collect::<Vec<_>>(), "one heartbeat per task");
     merged.fold_absorptions = tasks;
     let job = recs
         .iter()
