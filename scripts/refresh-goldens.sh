@@ -2,7 +2,7 @@
 # Regenerates every committed golden under tests/golden/ after an
 # *intentional* semantics change. Run from anywhere; writes in-repo.
 #
-#   scripts/refresh-goldens.sh            # paper presets + doze schemes (~10 s)
+#   scripts/refresh-goldens.sh            # paper presets + doze and optimal schemes (~20 s)
 #   scripts/refresh-goldens.sh --scale    # also giga/tera smoke + counters (~5 min)
 #
 # Review the resulting diff before committing: every changed golden is a
@@ -24,6 +24,11 @@ done
 ./target/release/insomnia run --scenario paper-default \
   --schemes multi-doze,adaptive-soi --seeds 1 --quick \
   --out tests/golden/paper-default-doze.jsonl
+
+# The Eq. (1) optimal scheme on paper-default (same recipe).
+./target/release/insomnia run --scenario paper-default \
+  --schemes optimal --seeds 1 --quick \
+  --out tests/golden/paper-default-optimal.jsonl
 
 # The scale smokes CI replays (reduced horizons; deterministic at any
 # thread count, so no --threads pin is needed).

@@ -10,7 +10,10 @@
 //! or in the sketch's exact-below-cutoff promise — trips it.
 //!
 //! `tests/golden/paper-default-doze.jsonl` extends the same freeze to the
-//! PR 8 sleep policies (`multi-doze,adaptive-soi`) on paper-default.
+//! PR 8 sleep policies (`multi-doze,adaptive-soi`) on paper-default, and
+//! `tests/golden/paper-default-optimal.jsonl` freezes the Eq. (1) optimal
+//! scheme on paper-default (generated before the incremental branch and
+//! bound replaced the per-node rescanning search).
 //!
 //! Refreshing after an *intentional* semantics change (see README):
 //!
@@ -98,4 +101,9 @@ fn golden_no_wireless_sharing() {
 #[test]
 fn golden_paper_default_doze_schemes() {
     assert_schemes_match_golden("paper-default", "multi-doze,adaptive-soi", "paper-default-doze");
+}
+
+#[test]
+fn golden_paper_default_optimal() {
+    assert_schemes_match_golden("paper-default", "optimal", "paper-default-optimal");
 }
