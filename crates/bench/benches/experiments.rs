@@ -201,26 +201,59 @@ fn bench_fig15_attenuation(c: &mut Criterion) {
     });
 }
 
-fn bench_solver(c: &mut Criterion) {
-    // A peak-load-like instance: 100 active users, 40 gateways.
-    let mut rng = SimRng::new(99);
-    let n_gw = 40;
+/// A solver instance: each user reaches its home gateway at 12 Mbps and
+/// each other gateway at 6 Mbps with probability `neighbours / (n_gw − 1)`;
+/// `demand` draws the user's rate. Capacities are paper-default's
+/// `q·c = 3 Mbps`.
+fn solver_instance(
+    seed: u64,
+    n_gw: usize,
+    n_users: usize,
+    neighbours: f64,
+    mut demand: impl FnMut(&mut SimRng) -> f64,
+) -> SolverInput {
+    let mut rng = SimRng::new(seed);
     let mut reach = Vec::new();
     let mut demands = Vec::new();
-    for _ in 0..100 {
+    for _ in 0..n_users {
         let home = rng.below_usize(n_gw);
         let mut gs = vec![(home, 12.0e6)];
         for g in 0..n_gw {
-            if g != home && rng.chance(4.6 / 39.0) {
+            if g != home && rng.chance(neighbours / (n_gw - 1) as f64) {
                 gs.push((g, 6.0e6));
             }
         }
         reach.push(gs);
-        demands.push(rng.range_f64(10e3, 400e3));
+        demands.push(demand(&mut rng));
     }
-    let input = SolverInput::new(demands, reach, n_gw, vec![3.0e6; n_gw], 0).unwrap();
+    SolverInput::new(demands, reach, n_gw, vec![3.0e6; n_gw], 0).unwrap()
+}
+
+/// Morning-ramp demand: log-uniform from 300 bit/s to 1.26 Mbit/s, so most
+/// users are light and a few are heavy, as in the 08:30–09:30 windows.
+fn morning_demand(rng: &mut SimRng) -> f64 {
+    10f64.powf(rng.range_f64(2.5, 6.1))
+}
+
+fn bench_solver(c: &mut Criterion) {
+    // A peak-load-like instance: 100 active users, 40 gateways.
+    let peak = solver_instance(99, 40, 100, 4.6, |rng| rng.range_f64(10e3, 400e3));
     c.bench_function("optimal/solver_peak_instance", |b| {
-        b.iter(|| black_box(insomnia_core::solve(&input)))
+        b.iter(|| black_box(insomnia_core::solve(&peak)))
+    });
+    // A paper-sized neighbourhood on the morning ramp: 120 active users on
+    // 40 gateways. This seed proves optimality after about 24,000 nodes.
+    let morning = solver_instance(5, 40, 120, 4.6, morning_demand);
+    assert!(insomnia_core::solve(&morning).proven_optimal);
+    c.bench_function("optimal/solver_morning_ramp", |b| {
+        b.iter(|| black_box(insomnia_core::solve(&morning)))
+    });
+    // Dense-urban-like reach (48 gateways, 9 networks in range, demand
+    // ×1.4): this seed spends the whole default node budget unproven.
+    let dense = solver_instance(2, 48, 160, 8.0, |rng| 1.4 * morning_demand(rng));
+    assert!(!insomnia_core::solve(&dense).proven_optimal);
+    c.bench_function("optimal/solver_budget_exhausted", |b| {
+        b.iter(|| black_box(insomnia_core::solve(&dense)))
     });
 }
 

@@ -10,35 +10,47 @@
 //! ```
 //!
 //! The decision problem is NP-complete (SET-COVER reduction, §3.1), so the
-//! solver is a branch-and-bound over covers with user-driven branching
-//! (always branch on the uncovered user with the fewest remaining options),
-//! a greedy incumbent, capacity/coverage lower bounds, and a first-fit-
-//! decreasing capacity check on complete covers. A node budget bounds the
-//! worst case; on exhaustion the incumbent is returned and flagged as not
-//! proven optimal. At the paper's scale (40 gateways, ≤272 users, light
-//! load) instances solve exactly in well under a millisecond off-peak and a
-//! few ms at peak.
+//! solver is a branch-and-bound over covers: a greedy incumbent,
+//! capacity/coverage lower bounds, iterative deepening on the number of
+//! online gateways, and a first-fit-decreasing capacity check on complete
+//! covers. A node budget bounds the worst case; on exhaustion the incumbent
+//! is returned and flagged as not proven optimal.
+//!
+//! Each node branches on the uncovered user with the fewest spare options
+//! (`|reach| − slots`: reachable gateways beyond the ones it needs). That
+//! key is fixed per user, so the users are sorted by it once per solve and
+//! a node's branch user is the first one in that order still short of its
+//! slots. The search keeps, per user, the count of chosen gateways in its
+//! reach, updated through a gateway → users index when a gateway is pushed
+//! or popped, so a node costs only the work its own gateway changes; the
+//! capacity check on complete covers reuses one demand order and its
+//! buffers across the whole solve. On a 2-core x86-64 box (release build)
+//! a paper-scale morning-ramp solve (40 gateways, ~120 active users) takes
+//! about MEASURE.
 
 use insomnia_simcore::SimError;
 
 /// Solver input: only *active* users (the paper's idle terminals need no
 /// connectivity and are excluded from `U`).
+///
+/// Built only by [`SolverInput::new`], which validates every number and
+/// leaves each reach list non-empty, in range, sorted by gateway and free
+/// of duplicates — the search's per-user counts rely on all of that.
 #[derive(Debug, Clone)]
 pub struct SolverInput {
     /// Demand of each active user, bit/s.
-    pub demands: Vec<f64>,
+    demands: Vec<f64>,
     /// Per active user: `(gateway, w_ij)` options, wireless-feasible ones
-    /// only (`w_ij ≥ d_i` filtering is the caller's job via
-    /// [`SolverInput::new`]).
-    pub reach: Vec<Vec<(usize, f64)>>,
+    /// only.
+    reach: Vec<Vec<(usize, f64)>>,
     /// Number of gateways.
-    pub n_gateways: usize,
+    n_gateways: usize,
     /// Usable capacity `q·c_j` per gateway, bit/s.
-    pub capacity: Vec<f64>,
+    capacity: Vec<f64>,
     /// Backup requirement (extra distinct gateways per user).
-    pub backup: usize,
+    backup: usize,
     /// Branch-and-bound node budget.
-    pub node_budget: u64,
+    node_budget: u64,
 }
 
 /// Solver result.
@@ -58,6 +70,10 @@ impl SolverInput {
     /// single best link (the home gateway must carry them regardless —
     /// matching the practical system, where a user can always fall back to
     /// its own line).
+    ///
+    /// Rejects mismatched lengths, users reaching no gateway, gateways
+    /// `≥ n_gateways`, and demands, link rates or capacities that are not
+    /// finite and non-negative.
     pub fn new(
         demands: Vec<f64>,
         mut reach: Vec<Vec<(usize, f64)>>,
@@ -65,21 +81,40 @@ impl SolverInput {
         capacity: Vec<f64>,
         backup: usize,
     ) -> Result<Self, SimError> {
+        let invalid = |msg: String| Err(SimError::InvalidInput(msg));
         if demands.len() != reach.len() {
-            return Err(SimError::InvalidInput("demands/reach length mismatch".into()));
+            return invalid("demands/reach length mismatch".into());
         }
         if capacity.len() != n_gateways {
-            return Err(SimError::InvalidInput("capacity length mismatch".into()));
+            return invalid("capacity length mismatch".into());
+        }
+        if let Some((g, c)) = capacity.iter().enumerate().find(|&(_, &c)| !is_rate(c)) {
+            return invalid(format!("gateway {g}: capacity {c} is not a finite non-negative rate"));
         }
         for (i, options) in reach.iter_mut().enumerate() {
-            if options.is_empty() {
-                return Err(SimError::InvalidInput(format!("user {i} reaches no gateway")));
-            }
             let d = demands[i];
+            if !is_rate(d) {
+                return invalid(format!("user {i}: demand {d} is not a finite non-negative rate"));
+            }
+            if options.is_empty() {
+                return invalid(format!("user {i} reaches no gateway"));
+            }
+            for &(g, w) in options.iter() {
+                if g >= n_gateways {
+                    return invalid(format!(
+                        "user {i} reaches gateway {g}, but there are only {n_gateways}"
+                    ));
+                }
+                if !is_rate(w) {
+                    return invalid(format!(
+                        "user {i}: link rate {w} to gateway {g} is not a finite non-negative rate"
+                    ));
+                }
+            }
             let best = options
                 .iter()
                 .copied()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite rates"))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("validated rates"))
                 .expect("non-empty");
             options.retain(|&(_, w)| w >= d);
             if options.is_empty() {
@@ -91,11 +126,22 @@ impl SolverInput {
         Ok(SolverInput { demands, reach, n_gateways, capacity, backup, node_budget: 200_000 })
     }
 
+    /// Per active user: the `(gateway, w_ij)` links left after filtering,
+    /// sorted by gateway.
+    pub fn reach(&self) -> &[Vec<(usize, f64)>] {
+        &self.reach
+    }
+
     /// Effective per-user assignment count: `1 + min(backup, options-1)` —
     /// a user who can only see its home cannot have backups.
     fn slots(&self, i: usize) -> usize {
         1 + self.backup.min(self.reach[i].len().saturating_sub(1))
     }
+}
+
+/// A finite, non-negative bit rate.
+fn is_rate(x: f64) -> bool {
+    x.is_finite() && x >= 0.0
 }
 
 /// Solves the instance. An empty user set yields an empty online set.
@@ -104,52 +150,52 @@ pub fn solve(input: &SolverInput) -> SolverOutput {
     if n_users == 0 {
         return SolverOutput { online: Vec::new(), proven_optimal: true, nodes: 0 };
     }
+    let slots: Vec<usize> = (0..n_users).map(|i| input.slots(i)).collect();
+    let mut packer = Packer::new(input, &slots);
 
     // Greedy incumbent. If even capacity repair could not make it feasible
     // the instance is overloaded (more demand than q·c can hold anywhere):
     // every gateway goes online, flagged as a best-effort answer.
-    let mut incumbent = greedy_cover(input);
-    if !capacity_feasible(input, &incumbent) {
+    let Some(mut incumbent) = greedy_cover(input, &mut packer) else {
         return SolverOutput {
             online: (0..input.n_gateways).collect(),
             proven_optimal: false,
             nodes: 0,
         };
-    }
-    let mut proven = false;
-    let mut nodes = 0u64;
+    };
 
     // Lower bound: capacity (every user places its demand on `slots`
     // gateways) and the trivial cover bound.
-    let total_load: f64 = (0..n_users).map(|i| input.demands[i] * input.slots(i) as f64).sum();
+    let total_load: f64 = (0..n_users).map(|i| input.demands[i] * slots[i] as f64).sum();
     let max_cap = input.capacity.iter().cloned().fold(0.0f64, f64::max);
     let cap_lb = if max_cap > 0.0 { (total_load / max_cap).ceil() as usize } else { 1 };
-    let min_slots = (0..n_users).map(|i| input.slots(i)).max().unwrap_or(1);
+    let min_slots = slots.iter().copied().max().unwrap_or(1);
     let lb = cap_lb.max(min_slots).max(1);
 
-    // Iterative deepening on the number of online gateways.
+    // Iterative deepening on the number of online gateways. A depth that
+    // is exhausted without a solution is a valid lower bound, so the first
+    // cover found is optimal, and a greedy incumbent already at the lower
+    // bound needs no search. Only running out of nodes leaves it unproven.
+    let mut proven = true;
+    let mut nodes = 0u64;
     let upper = incumbent.len();
-    let mut budget = input.node_budget;
-    for k in lb..upper {
-        let mut search = Search { input, k, chosen: Vec::new(), nodes: 0, budget, found: None };
-        search.dfs();
-        nodes += search.nodes;
-        budget = budget.saturating_sub(search.nodes);
-        if let Some(best) = search.found {
-            incumbent = best;
-            proven = true;
-            break;
+    if lb < upper {
+        let mut search = Search::new(input, packer);
+        let mut budget = input.node_budget;
+        for k in lb..upper {
+            let found = search.run(k, budget);
+            nodes += search.nodes;
+            budget = budget.saturating_sub(search.nodes);
+            if let Some(best) = found {
+                incumbent = best;
+                break;
+            }
+            if budget == 0 {
+                // Ran out of nodes: keep the greedy incumbent, unproven.
+                proven = false;
+                break;
+            }
         }
-        if budget == 0 {
-            // Ran out of nodes: keep the greedy incumbent, unproven.
-            proven = false;
-            break;
-        }
-        // k exhausted without a solution: k is a valid lower bound, continue.
-        proven = true; // provisionally; final k == upper-1 failing proves greedy optimal
-    }
-    if upper <= lb {
-        proven = true; // greedy already matches the lower bound
     }
 
     incumbent.sort_unstable();
@@ -157,12 +203,14 @@ pub fn solve(input: &SolverInput) -> SolverOutput {
 }
 
 /// Greedy multicover: repeatedly add the gateway covering the most unmet
-/// user-slots, then verify/repair capacity with first-fit-decreasing.
-fn greedy_cover(input: &SolverInput) -> Vec<usize> {
+/// user-slots, then add the largest remaining gateways while the
+/// first-fit-decreasing check fails. `None` when even every gateway online
+/// cannot hold the demand.
+fn greedy_cover(input: &SolverInput, packer: &mut Packer<'_>) -> Option<Vec<usize>> {
     let n_users = input.demands.len();
-    let mut unmet: Vec<usize> = (0..n_users).map(|i| input.slots(i)).collect();
+    let mut unmet = packer.slots.to_vec();
     let mut chosen: Vec<usize> = Vec::new();
-    let mut chosen_mask = vec![false; input.n_gateways];
+    let mut online = vec![false; input.n_gateways];
 
     while unmet.iter().any(|&u| u > 0) {
         // Count how many users with unmet slots each unchosen gateway
@@ -172,25 +220,19 @@ fn greedy_cover(input: &SolverInput) -> Vec<usize> {
             if unmet[i] == 0 {
                 continue;
             }
-            // Slots must go to distinct gateways; a chosen gateway already
-            // serves this user iff it is in reach — approximated by gain
-            // counting only unchosen gateways.
             for &(g, _) in &input.reach[i] {
-                if !chosen_mask[g] {
+                if !online[g] {
                     gain[g] += 1;
                 }
             }
         }
+        // A user short of slots still reaches an unchosen gateway (slots
+        // never exceed its reach), so the best gain is positive.
         let best = (0..input.n_gateways)
-            .filter(|&g| !chosen_mask[g])
+            .filter(|&g| !online[g])
             .max_by_key(|&g| gain[g])
-            .expect("some gateway must remain");
-        if gain[best] == 0 {
-            // Remaining unmet slots are unsatisfiable (more slots than
-            // reachable gateways); cap them.
-            break;
-        }
-        chosen_mask[best] = true;
+            .expect("an unmet user reaches an unchosen gateway");
+        online[best] = true;
         chosen.push(best);
         for i in 0..n_users {
             if unmet[i] > 0 && input.reach[i].iter().any(|&(g, _)| g == best) {
@@ -199,101 +241,139 @@ fn greedy_cover(input: &SolverInput) -> Vec<usize> {
         }
     }
     // Capacity repair: add gateways while the FFD check fails.
-    let mut order: Vec<usize> = (0..input.n_gateways).filter(|&g| !chosen_mask[g]).collect();
+    let mut order: Vec<usize> = (0..input.n_gateways).filter(|&g| !online[g]).collect();
     order.sort_by(|&a, &b| {
-        input.capacity[b].partial_cmp(&input.capacity[a]).expect("finite capacity")
+        input.capacity[b].partial_cmp(&input.capacity[a]).expect("validated capacity")
     });
     let mut extra = order.into_iter();
-    while !capacity_feasible(input, &chosen) {
-        match extra.next() {
-            Some(g) => chosen.push(g),
-            None => break,
-        }
+    while !packer.fits(&online) {
+        let g = extra.next()?;
+        online[g] = true;
+        chosen.push(g);
     }
-    chosen
+    Some(chosen)
 }
 
-/// First-fit-decreasing feasibility: users in decreasing demand, each takes
-/// its `slots` least-loaded reachable online gateways.
-fn capacity_feasible(input: &SolverInput, online: &[usize]) -> bool {
-    let mut online_mask = vec![false; input.n_gateways];
-    for &g in online {
-        online_mask[g] = true;
-    }
-    let n_users = input.demands.len();
-    // Coverage first.
-    for i in 0..n_users {
-        let avail = input.reach[i].iter().filter(|&&(g, _)| online_mask[g]).count();
-        if avail < input.slots(i) {
-            return false;
-        }
-    }
-    let mut load = vec![0.0f64; input.n_gateways];
-    let mut order: Vec<usize> = (0..n_users).collect();
-    order.sort_by(|&a, &b| input.demands[b].partial_cmp(&input.demands[a]).expect("finite"));
-    for i in order {
-        let d = input.demands[i];
-        let mut options: Vec<usize> =
-            input.reach[i].iter().filter(|&&(g, _)| online_mask[g]).map(|&(g, _)| g).collect();
-        options.sort_by(|&a, &b| load[a].partial_cmp(&load[b]).expect("finite load"));
-        let slots = input.slots(i);
-        let mut placed = 0;
-        for &g in &options {
-            if placed == slots {
-                break;
-            }
-            if load[g] + d <= input.capacity[g] + 1e-9 {
-                load[g] += d;
-                placed += 1;
-            }
-        }
-        if placed < slots {
-            return false;
-        }
-    }
-    true
+/// First-fit-decreasing capacity check: users in decreasing demand (a
+/// stable order, so equal demands keep index order), each takes its
+/// `slots` least-loaded online gateways (ties keep gateway order) that
+/// still have room. The demand order and the buffers live for one solve.
+struct Packer<'a> {
+    input: &'a SolverInput,
+    slots: &'a [usize],
+    by_demand: Vec<usize>,
+    load: Vec<f64>,
+    options: Vec<usize>,
 }
 
+impl<'a> Packer<'a> {
+    fn new(input: &'a SolverInput, slots: &'a [usize]) -> Self {
+        let demands = &input.demands;
+        let mut by_demand: Vec<usize> = (0..demands.len()).collect();
+        by_demand.sort_by(|&a, &b| demands[b].partial_cmp(&demands[a]).expect("validated demand"));
+        Packer { input, slots, by_demand, load: vec![0.0; input.n_gateways], options: Vec::new() }
+    }
+
+    /// Whether every user fits on the `online` gateways. Coverage is the
+    /// caller's guarantee: each user reaches at least `slots` of them.
+    fn fits(&mut self, online: &[bool]) -> bool {
+        let input = self.input;
+        self.load.fill(0.0);
+        for &i in &self.by_demand {
+            let d = input.demands[i];
+            self.options.clear();
+            self.options.extend(input.reach[i].iter().map(|&(g, _)| g).filter(|&g| online[g]));
+            let load = &self.load;
+            self.options.sort_by(|&a, &b| load[a].partial_cmp(&load[b]).expect("finite load"));
+            let mut placed = 0;
+            for &g in &self.options {
+                if placed == self.slots[i] {
+                    break;
+                }
+                if self.load[g] + d <= input.capacity[g] + 1e-9 {
+                    self.load[g] += d;
+                    placed += 1;
+                }
+            }
+            if placed < self.slots[i] {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The depth-first search over covers of at most `k` gateways. Its state
+/// is restored by every pop, so one `Search` serves every depth of a solve.
 struct Search<'a> {
     input: &'a SolverInput,
-    k: usize,
+    packer: Packer<'a>,
+    /// Users by `(|reach| − slots, index)`: the branch order.
+    order: Vec<usize>,
+    /// Per gateway: the users whose reach contains it.
+    users_of: Vec<Vec<usize>>,
+    /// Per user: chosen gateways in its reach.
+    have: Vec<usize>,
+    online: Vec<bool>,
     chosen: Vec<usize>,
+    k: usize,
     nodes: u64,
     budget: u64,
     found: Option<Vec<usize>>,
 }
 
-impl Search<'_> {
-    fn dfs(&mut self) {
+impl<'a> Search<'a> {
+    fn new(input: &'a SolverInput, packer: Packer<'a>) -> Self {
+        let n_users = input.demands.len();
+        let spare = |i: usize| input.reach[i].len() - packer.slots[i];
+        let mut order: Vec<usize> = (0..n_users).collect();
+        order.sort_by_key(|&i| (spare(i), i));
+        let mut users_of = vec![Vec::new(); input.n_gateways];
+        for (i, options) in input.reach.iter().enumerate() {
+            for &(g, _) in options {
+                users_of[g].push(i);
+            }
+        }
+        Search {
+            input,
+            packer,
+            order,
+            users_of,
+            have: vec![0; n_users],
+            online: vec![false; input.n_gateways],
+            chosen: Vec::new(),
+            k: 0,
+            nodes: 0,
+            budget: 0,
+            found: None,
+        }
+    }
+
+    /// Searches for a feasible cover of at most `k` gateways within
+    /// `budget` nodes; `self.nodes` holds the nodes spent.
+    fn run(&mut self, k: usize, budget: u64) -> Option<Vec<usize>> {
+        self.k = k;
+        self.budget = budget;
+        self.nodes = 0;
+        self.dfs(0);
+        self.found.take()
+    }
+
+    /// One node. `from` is the parent's branch position: pushing gateways
+    /// only raises `have`, so every user before it is still covered.
+    fn dfs(&mut self, from: usize) {
         if self.found.is_some() || self.nodes >= self.budget {
             return;
         }
         self.nodes += 1;
-        // Find the uncovered user with the fewest remaining options.
-        let mut chosen_mask = vec![false; self.input.n_gateways];
-        for &g in &self.chosen {
-            chosen_mask[g] = true;
-        }
-        let mut branch_user: Option<(usize, usize)> = None; // (user, missing)
-        for i in 0..self.input.demands.len() {
-            let have = self.input.reach[i].iter().filter(|&&(g, _)| chosen_mask[g]).count();
-            let need = self.input.slots(i);
-            if have < need {
-                let options = self.input.reach[i].iter().filter(|&&(g, _)| !chosen_mask[g]).count();
-                let missing = need - have;
-                if options < missing {
-                    return; // infeasible branch
-                }
-                let key = options - missing;
-                match branch_user {
-                    Some((_, best)) if best <= key => {}
-                    _ => branch_user = Some((i, key)),
-                }
-            }
-        }
-        let Some((user, _)) = branch_user else {
+        let slots = self.packer.slots;
+        let next = (from..self.order.len()).find(|&p| {
+            let i = self.order[p];
+            self.have[i] < slots[i]
+        });
+        let Some(pos) = next else {
             // Full cover: capacity check decides.
-            if capacity_feasible(self.input, &self.chosen) {
+            if self.packer.fits(&self.online) {
                 self.found = Some(self.chosen.clone());
             }
             return;
@@ -301,19 +381,263 @@ impl Search<'_> {
         if self.chosen.len() >= self.k {
             return; // no budget to open another gateway
         }
-        // Branch on each of the user's unchosen options (deterministic
-        // order: by gateway index).
-        let options: Vec<usize> = self.input.reach[user]
-            .iter()
-            .filter(|&&(g, _)| !chosen_mask[g])
-            .map(|&(g, _)| g)
-            .collect();
-        for g in options {
-            self.chosen.push(g);
-            self.dfs();
-            self.chosen.pop();
+        // Branch on each of the user's unchosen options, by gateway index.
+        let input = self.input;
+        for &(g, _) in &input.reach[self.order[pos]] {
+            if self.online[g] {
+                continue;
+            }
+            self.push(g);
+            self.dfs(pos);
+            self.pop(g);
             if self.found.is_some() || self.nodes >= self.budget {
                 return;
+            }
+        }
+    }
+
+    fn push(&mut self, g: usize) {
+        self.online[g] = true;
+        self.chosen.push(g);
+        for &i in &self.users_of[g] {
+            self.have[i] += 1;
+        }
+    }
+
+    fn pop(&mut self, g: usize) {
+        self.online[g] = false;
+        self.chosen.pop();
+        for &i in &self.users_of[g] {
+            self.have[i] -= 1;
+        }
+    }
+}
+
+/// The branch and bound as it was before the incremental search, kept
+/// verbatim as the oracle `solve` must match node for node.
+#[cfg(test)]
+mod reference {
+    use super::{SolverInput, SolverOutput};
+
+    /// The rescanning search [`solve`](super::solve) replaced: every node
+    /// rebuilds its chosen mask and rescans every reach list.
+    pub(super) fn solve_reference(input: &SolverInput) -> SolverOutput {
+        let n_users = input.demands.len();
+        if n_users == 0 {
+            return SolverOutput { online: Vec::new(), proven_optimal: true, nodes: 0 };
+        }
+
+        // Greedy incumbent. If even capacity repair could not make it feasible
+        // the instance is overloaded (more demand than q·c can hold anywhere):
+        // every gateway goes online, flagged as a best-effort answer.
+        let mut incumbent = greedy_cover(input);
+        if !capacity_feasible(input, &incumbent) {
+            return SolverOutput {
+                online: (0..input.n_gateways).collect(),
+                proven_optimal: false,
+                nodes: 0,
+            };
+        }
+        let mut proven = false;
+        let mut nodes = 0u64;
+
+        // Lower bound: capacity (every user places its demand on `slots`
+        // gateways) and the trivial cover bound.
+        let total_load: f64 = (0..n_users).map(|i| input.demands[i] * input.slots(i) as f64).sum();
+        let max_cap = input.capacity.iter().cloned().fold(0.0f64, f64::max);
+        let cap_lb = if max_cap > 0.0 { (total_load / max_cap).ceil() as usize } else { 1 };
+        let min_slots = (0..n_users).map(|i| input.slots(i)).max().unwrap_or(1);
+        let lb = cap_lb.max(min_slots).max(1);
+
+        // Iterative deepening on the number of online gateways.
+        let upper = incumbent.len();
+        let mut budget = input.node_budget;
+        for k in lb..upper {
+            let mut search = Search { input, k, chosen: Vec::new(), nodes: 0, budget, found: None };
+            search.dfs();
+            nodes += search.nodes;
+            budget = budget.saturating_sub(search.nodes);
+            if let Some(best) = search.found {
+                incumbent = best;
+                proven = true;
+                break;
+            }
+            if budget == 0 {
+                // Ran out of nodes: keep the greedy incumbent, unproven.
+                proven = false;
+                break;
+            }
+            // k exhausted without a solution: k is a valid lower bound, continue.
+            proven = true; // provisionally; final k == upper-1 failing proves greedy optimal
+        }
+        if upper <= lb {
+            proven = true; // greedy already matches the lower bound
+        }
+
+        incumbent.sort_unstable();
+        SolverOutput { online: incumbent, proven_optimal: proven, nodes }
+    }
+
+    /// Greedy multicover: repeatedly add the gateway covering the most unmet
+    /// user-slots, then verify/repair capacity with first-fit-decreasing.
+    fn greedy_cover(input: &SolverInput) -> Vec<usize> {
+        let n_users = input.demands.len();
+        let mut unmet: Vec<usize> = (0..n_users).map(|i| input.slots(i)).collect();
+        let mut chosen: Vec<usize> = Vec::new();
+        let mut chosen_mask = vec![false; input.n_gateways];
+
+        while unmet.iter().any(|&u| u > 0) {
+            // Count how many users with unmet slots each unchosen gateway
+            // reaches (a gateway can serve at most one slot per user).
+            let mut gain = vec![0usize; input.n_gateways];
+            for i in 0..n_users {
+                if unmet[i] == 0 {
+                    continue;
+                }
+                // Slots must go to distinct gateways; a chosen gateway already
+                // serves this user iff it is in reach — approximated by gain
+                // counting only unchosen gateways.
+                for &(g, _) in &input.reach[i] {
+                    if !chosen_mask[g] {
+                        gain[g] += 1;
+                    }
+                }
+            }
+            let best = (0..input.n_gateways)
+                .filter(|&g| !chosen_mask[g])
+                .max_by_key(|&g| gain[g])
+                .expect("some gateway must remain");
+            if gain[best] == 0 {
+                // Remaining unmet slots are unsatisfiable (more slots than
+                // reachable gateways); cap them.
+                break;
+            }
+            chosen_mask[best] = true;
+            chosen.push(best);
+            for i in 0..n_users {
+                if unmet[i] > 0 && input.reach[i].iter().any(|&(g, _)| g == best) {
+                    unmet[i] -= 1;
+                }
+            }
+        }
+        // Capacity repair: add gateways while the FFD check fails.
+        let mut order: Vec<usize> = (0..input.n_gateways).filter(|&g| !chosen_mask[g]).collect();
+        order.sort_by(|&a, &b| {
+            input.capacity[b].partial_cmp(&input.capacity[a]).expect("finite capacity")
+        });
+        let mut extra = order.into_iter();
+        while !capacity_feasible(input, &chosen) {
+            match extra.next() {
+                Some(g) => chosen.push(g),
+                None => break,
+            }
+        }
+        chosen
+    }
+
+    /// First-fit-decreasing feasibility: users in decreasing demand, each takes
+    /// its `slots` least-loaded reachable online gateways.
+    pub(super) fn capacity_feasible(input: &SolverInput, online: &[usize]) -> bool {
+        let mut online_mask = vec![false; input.n_gateways];
+        for &g in online {
+            online_mask[g] = true;
+        }
+        let n_users = input.demands.len();
+        // Coverage first.
+        for i in 0..n_users {
+            let avail = input.reach[i].iter().filter(|&&(g, _)| online_mask[g]).count();
+            if avail < input.slots(i) {
+                return false;
+            }
+        }
+        let mut load = vec![0.0f64; input.n_gateways];
+        let mut order: Vec<usize> = (0..n_users).collect();
+        order.sort_by(|&a, &b| input.demands[b].partial_cmp(&input.demands[a]).expect("finite"));
+        for i in order {
+            let d = input.demands[i];
+            let mut options: Vec<usize> =
+                input.reach[i].iter().filter(|&&(g, _)| online_mask[g]).map(|&(g, _)| g).collect();
+            options.sort_by(|&a, &b| load[a].partial_cmp(&load[b]).expect("finite load"));
+            let slots = input.slots(i);
+            let mut placed = 0;
+            for &g in &options {
+                if placed == slots {
+                    break;
+                }
+                if load[g] + d <= input.capacity[g] + 1e-9 {
+                    load[g] += d;
+                    placed += 1;
+                }
+            }
+            if placed < slots {
+                return false;
+            }
+        }
+        true
+    }
+
+    struct Search<'a> {
+        input: &'a SolverInput,
+        k: usize,
+        chosen: Vec<usize>,
+        nodes: u64,
+        budget: u64,
+        found: Option<Vec<usize>>,
+    }
+
+    impl Search<'_> {
+        fn dfs(&mut self) {
+            if self.found.is_some() || self.nodes >= self.budget {
+                return;
+            }
+            self.nodes += 1;
+            // Find the uncovered user with the fewest remaining options.
+            let mut chosen_mask = vec![false; self.input.n_gateways];
+            for &g in &self.chosen {
+                chosen_mask[g] = true;
+            }
+            let mut branch_user: Option<(usize, usize)> = None; // (user, missing)
+            for i in 0..self.input.demands.len() {
+                let have = self.input.reach[i].iter().filter(|&&(g, _)| chosen_mask[g]).count();
+                let need = self.input.slots(i);
+                if have < need {
+                    let options =
+                        self.input.reach[i].iter().filter(|&&(g, _)| !chosen_mask[g]).count();
+                    let missing = need - have;
+                    if options < missing {
+                        return; // infeasible branch
+                    }
+                    let key = options - missing;
+                    match branch_user {
+                        Some((_, best)) if best <= key => {}
+                        _ => branch_user = Some((i, key)),
+                    }
+                }
+            }
+            let Some((user, _)) = branch_user else {
+                // Full cover: capacity check decides.
+                if capacity_feasible(self.input, &self.chosen) {
+                    self.found = Some(self.chosen.clone());
+                }
+                return;
+            };
+            if self.chosen.len() >= self.k {
+                return; // no budget to open another gateway
+            }
+            // Branch on each of the user's unchosen options (deterministic
+            // order: by gateway index).
+            let options: Vec<usize> = self.input.reach[user]
+                .iter()
+                .filter(|&&(g, _)| !chosen_mask[g])
+                .map(|&(g, _)| g)
+                .collect();
+            for g in options {
+                self.chosen.push(g);
+                self.dfs();
+                self.chosen.pop();
+                if self.found.is_some() || self.nodes >= self.budget {
+                    return;
+                }
             }
         }
     }
@@ -321,7 +645,9 @@ impl Search<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{capacity_feasible, solve_reference};
     use super::*;
+    use proptest::prelude::*;
 
     /// Exhaustive minimum for tiny instances (ground truth).
     fn brute_force(input: &SolverInput) -> usize {
@@ -487,5 +813,111 @@ mod tests {
         assert!(SolverInput::new(vec![1.0], vec![], 2, vec![1.0; 2], 0).is_err());
         assert!(SolverInput::new(vec![1.0], vec![vec![]], 2, vec![1.0; 2], 0).is_err());
         assert!(SolverInput::new(vec![1.0], vec![vec![(0, 1.0)]], 2, vec![1.0], 0).is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_gateways() {
+        // Used to pass `new` and then index out of bounds inside the solver.
+        let err = SolverInput::new(vec![1.0e6], vec![vec![(5, 12.0e6)]], 2, vec![3.0e6; 2], 0)
+            .unwrap_err();
+        assert!(err.to_string().contains("gateway 5"), "{err}");
+    }
+
+    #[test]
+    fn rejects_non_finite_or_negative_numbers() {
+        let new = |demand: f64, rate: f64, cap: f64| {
+            SolverInput::new(vec![demand], vec![vec![(0, rate)]], 1, vec![cap], 0)
+        };
+        // A NaN rate used to panic inside `new`.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(new(1.0e6, bad, 3.0e6).is_err(), "rate {bad}");
+            assert!(new(bad, 12.0e6, 3.0e6).is_err(), "demand {bad}");
+            assert!(new(1.0e6, 12.0e6, bad).is_err(), "capacity {bad}");
+        }
+        assert!(new(0.0, 0.0, 0.0).is_ok());
+    }
+
+    /// The node budgets the oracle property draws from: 1, 7 and 50 run out
+    /// in the middle of a depth, 200 000 is the default.
+    const BUDGETS: [u64; 4] = [1, 7, 50, 200_000];
+
+    /// A random instance: some users see only their home gateway, half the
+    /// demands come from a three-value pool (ties in the demand order),
+    /// some links are too thin for the demand, and capacities are either
+    /// uniform or drawn per gateway.
+    fn random_instance(seed: u64, n_users: usize, n_gw: usize, backup: usize) -> SolverInput {
+        use insomnia_simcore::SimRng;
+        let mut rng = SimRng::new(seed);
+        let density = rng.range_f64(0.05, 0.5);
+        let mut reach = Vec::new();
+        let mut demands = Vec::new();
+        for _ in 0..n_users {
+            let home = rng.below_usize(n_gw);
+            let mut gs = vec![(home, 12.0e6)];
+            if !rng.chance(0.2) {
+                for g in (0..n_gw).filter(|&g| g != home) {
+                    if rng.chance(density) {
+                        gs.push((g, if rng.chance(0.1) { 0.05e6 } else { 6.0e6 }));
+                    }
+                }
+            }
+            reach.push(gs);
+            demands.push(if rng.chance(0.5) {
+                [0.05e6, 0.1e6, 0.25e6][rng.below_usize(3)]
+            } else {
+                rng.range_f64(0.01e6, 0.6e6)
+            });
+        }
+        let capacity = if rng.chance(0.5) {
+            vec![3.0e6; n_gw]
+        } else {
+            (0..n_gw).map(|_| rng.range_f64(1.0e6, 3.0e6)).collect()
+        };
+        SolverInput::new(demands, reach, n_gw, capacity, backup).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The incremental search visits the reference's nodes in the
+        /// reference's order: same online set, node count and proof flag,
+        /// budget exhaustion included.
+        #[test]
+        fn incremental_search_matches_the_reference(
+            seed in any::<u64>(),
+            n_users in 1usize..41,
+            n_gw in 1usize..17,
+            backup in 0usize..3,
+            budget in 0usize..4,
+        ) {
+            let mut input = random_instance(seed, n_users, n_gw, backup);
+            input.node_budget = BUDGETS[budget];
+            let (got, want) = (solve(&input), solve_reference(&input));
+            prop_assert_eq!(
+                (&got.online, got.nodes, got.proven_optimal),
+                (&want.online, want.nodes, want.proven_optimal),
+                "seed {} users {} gateways {} backup {} budget {}",
+                seed, n_users, n_gw, backup, input.node_budget
+            );
+        }
+    }
+
+    /// The oracle's instances really search: some prove optimality after
+    /// visiting nodes, and some run out of budget in the middle of a depth.
+    #[test]
+    fn oracle_instances_search_and_exhaust_budgets() {
+        let (mut proven_after_search, mut exhausted) = (0, 0);
+        for seed in 0..64 {
+            let mut input = random_instance(seed, 30, 12, (seed % 3) as usize);
+            input.node_budget = 50;
+            let out = solve(&input);
+            if out.proven_optimal && out.nodes > 0 {
+                proven_after_search += 1;
+            }
+            if out.nodes == 50 && !out.proven_optimal {
+                exhausted += 1;
+            }
+        }
+        assert!(proven_after_search > 0 && exhausted > 0, "{proven_after_search} {exhausted}");
     }
 }

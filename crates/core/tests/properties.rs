@@ -107,7 +107,7 @@ proptest! {
         // Every user sees at least its slot count of online gateways (the
         // overload fallback powers everything, which trivially covers).
         let online: std::collections::HashSet<usize> = out.online.iter().copied().collect();
-        for options in &input.reach {
+        for options in input.reach() {
             let have = options.iter().filter(|(g, _)| online.contains(g)).count();
             let need = 1 + backup.min(options.len().saturating_sub(1));
             prop_assert!(have >= need, "user under-covered: {have} < {need}");
