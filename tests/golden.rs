@@ -10,10 +10,10 @@
 //! or in the sketch's exact-below-cutoff promise — trips it.
 //!
 //! `tests/golden/paper-default-doze.jsonl` extends the same freeze to the
-//! PR 8 sleep policies (`multi-doze,adaptive-soi`) on paper-default, and
-//! `tests/golden/paper-default-optimal.jsonl` freezes the Eq. (1) optimal
-//! scheme on paper-default (generated before the incremental branch and
-//! bound replaced the per-node rescanning search).
+//! multi-state sleep policies (`multi-doze,adaptive-soi`) on paper-default,
+//! and `tests/golden/paper-default-optimal.jsonl` freezes the Eq. (1)
+//! optimal scheme on paper-default (generated before the incremental branch
+//! and bound replaced the per-node rescanning search).
 //!
 //! Refreshing after an *intentional* semantics change (see README):
 //!
