@@ -37,6 +37,12 @@ pub struct Dslam {
     fabric: Fabric,
     /// Active (powered) state per line.
     line_active: Vec<bool>,
+    /// Active lines per card, recounted at every line power change.
+    per_card: Vec<usize>,
+    /// Cards with an active line, as of the last power change.
+    awake_cards: usize,
+    /// Active lines, as of the last power change.
+    active_lines: usize,
     /// Aggregate line-card power (awake cards × card watts).
     cards_meter: TimeWeighted,
     /// Aggregate modem power (active lines × modem watts).
@@ -61,6 +67,9 @@ impl Dslam {
             power,
             fabric,
             line_active: vec![false; n_lines],
+            per_card: vec![0; cfg.n_cards],
+            awake_cards: 0,
+            active_lines: 0,
             cards_meter: TimeWeighted::new(t0.as_millis(), 0.0),
             modems_meter: TimeWeighted::new(t0.as_millis(), 0.0),
             started: t0,
@@ -100,21 +109,32 @@ impl Dslam {
         }
     }
 
+    /// Recounts awake cards and active lines after a line power change and
+    /// meters the new draw; the accessors below read these counts.
     fn update_meters(&mut self, t: SimTime) {
-        let awake = self.fabric.awake_cards() as f64;
-        let modems = self.line_active.iter().filter(|&&a| a).count() as f64;
+        self.fabric.count_active_per_card(&mut self.per_card);
+        self.awake_cards = self.per_card.iter().filter(|&&a| a > 0).count();
+        self.active_lines = self.per_card.iter().sum();
+        let awake = self.awake_cards as f64;
+        let modems = self.active_lines as f64;
         self.cards_meter.set(t.as_millis(), awake * self.power.line_card_w);
         self.modems_meter.set(t.as_millis(), modems * self.power.isp_modem_w);
     }
 
     /// Number of line cards currently awake.
     pub fn awake_cards(&self) -> usize {
-        self.fabric.awake_cards()
+        debug_assert_eq!(self.awake_cards, self.fabric.awake_cards(), "stale card count");
+        self.awake_cards
     }
 
     /// Number of active lines.
     pub fn active_lines(&self) -> usize {
-        self.line_active.iter().filter(|&&a| a).count()
+        debug_assert_eq!(
+            self.active_lines,
+            self.line_active.iter().filter(|&&a| a).count(),
+            "stale line count"
+        );
+        self.active_lines
     }
 
     /// Finalizes meters at the simulation horizon.

@@ -43,12 +43,31 @@ pub trait SwitchFabric {
     /// Notifies that `line` powered off.
     fn on_sleep(&mut self, line: usize);
 
-    /// Number of active lines per card.
-    fn active_per_card(&self) -> Vec<usize>;
+    /// Writes the number of active lines per card into `out`, one slot per
+    /// card; a reused buffer keeps the count allocation-free.
+    fn count_active_per_card(&self, out: &mut [usize]);
 
-    /// Number of cards with at least one active line.
+    /// Number of active lines per card.
+    fn active_per_card(&self) -> Vec<usize> {
+        let mut out = vec![0; self.n_cards()];
+        self.count_active_per_card(&mut out);
+        out
+    }
+
+    /// Number of cards with at least one active line. Counts on the stack
+    /// up to 64 cards.
     fn awake_cards(&self) -> usize {
-        self.active_per_card().iter().filter(|&&a| a > 0).count()
+        let mut stack = [0; 64];
+        let mut heap = Vec::new();
+        let counts = match stack.get_mut(..self.n_cards()) {
+            Some(counts) => counts,
+            None => {
+                heap.resize(self.n_cards(), 0);
+                &mut heap[..]
+            }
+        };
+        self.count_active_per_card(counts);
+        counts.iter().filter(|&&a| a > 0).count()
     }
 }
 
@@ -106,14 +125,13 @@ impl SwitchFabric for FixedFabric {
         self.active[line] = false;
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
-        let mut out = vec![0; self.n_cards];
+    fn count_active_per_card(&self, out: &mut [usize]) {
+        out.fill(0);
         for (l, &loc) in self.locs.iter().enumerate() {
             if self.active[l] {
                 out[loc.card] += 1;
             }
         }
-        out
     }
 }
 
@@ -235,14 +253,13 @@ impl SwitchFabric for KSwitchFabric {
         self.active[line] = false;
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
-        let mut out = vec![0; self.n_cards];
+    fn count_active_per_card(&self, out: &mut [usize]) {
+        out.fill(0);
         for (line, &active) in self.active.iter().enumerate() {
             if active {
                 out[self.location(line).card] += 1;
             }
         }
-        out
     }
 }
 
@@ -340,14 +357,13 @@ impl SwitchFabric for FullFabric {
         self.active[line] = false;
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
-        let mut out = vec![0; self.n_cards];
+    fn count_active_per_card(&self, out: &mut [usize]) {
+        out.fill(0);
         for (line, &active) in self.active.iter().enumerate() {
             if active {
                 out[self.locs[line].card] += 1;
             }
         }
-        out
     }
 }
 
@@ -395,11 +411,11 @@ impl SwitchFabric for Fabric {
         }
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
+    fn count_active_per_card(&self, out: &mut [usize]) {
         match self {
-            Fabric::Fixed(f) => f.active_per_card(),
-            Fabric::KSwitch(f) => f.active_per_card(),
-            Fabric::Full(f) => f.active_per_card(),
+            Fabric::Fixed(f) => f.count_active_per_card(out),
+            Fabric::KSwitch(f) => f.count_active_per_card(out),
+            Fabric::Full(f) => f.count_active_per_card(out),
         }
     }
 }

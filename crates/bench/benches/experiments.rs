@@ -3,13 +3,15 @@
 //! The figure benches measure the cost of regenerating each experiment's
 //! data (trace synthesis, scheme simulation, analytics) on reduced run
 //! sizes; their outputs are the same series the `figures` binary prints.
-//! Engine microbenches track the hot paths: event throughput, BH2
-//! decisions, the ILP solver, DMT bit-loading, and the FEXT bundle sync.
+//! Engine microbenches track the hot paths: event throughput, the flow
+//! engine's water-fill, BH2 decisions, the ILP solver, DMT bit-loading, and
+//! the FEXT bundle sync.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use insomnia_access::{p_card_sleeps, p_card_sleeps_monte_carlo};
 use insomnia_bench::figures;
 use insomnia_bench::Harness;
+use insomnia_core::flows::FlowEngine;
 use insomnia_core::{
     build_world, run_single, run_testbed, ScenarioConfig, SchemeSpec, SolverInput, TestbedConfig,
 };
@@ -55,6 +57,38 @@ fn bench_engine(c: &mut Criterion) {
             black_box(acc)
         })
     });
+}
+
+/// One gateway's flow churn at a fixed concurrency, 1,000 rounds per
+/// iteration. A round tops the gateway up to `n` flows, water-fills,
+/// advances to the next departure and drains what finished: the engine
+/// work behind one arrival or departure event.
+fn bench_flows(c: &mut Criterion) {
+    const CAPS: [f64; 4] = [1.0e6, 3.0e6, 6.0e6, 12.0e6];
+    for n in [4usize, 16, 64] {
+        c.bench_function(format!("flows/water_fill_{n}"), |b| {
+            let mut e = FlowEngine::new(1);
+            let mut rng = SimRng::new(n as u64);
+            let mut t = SimTime::ZERO;
+            let mut idx = 0;
+            b.iter(|| {
+                let mut moved = 0.0;
+                for _ in 0..1_000 {
+                    while e.n_on(0) < n {
+                        let bytes = rng.range_f64(1.0e3, 2.0e6) as u64;
+                        e.add(t, 0, idx, idx, t, bytes, CAPS[rng.below_usize(CAPS.len())]);
+                        idx += 1;
+                    }
+                    t = e.recompute(0, t, 6.0e6).expect("a busy gateway has a departure");
+                    moved += e.advance(0, t);
+                    e.drain_completed(0, |f| {
+                        black_box(f.trace_idx);
+                    });
+                }
+                black_box(moved)
+            })
+        });
+    }
 }
 
 fn bench_fig02_adsl(c: &mut Criterion) {
@@ -120,6 +154,8 @@ fn bench_fig06_to_08_schemes(c: &mut Criterion) {
         SchemeSpec::soi_k_switch(),
         SchemeSpec::bh2_k_switch(),
         SchemeSpec::optimal(),
+        SchemeSpec::multi_doze(),
+        SchemeSpec::adaptive_soi(),
     ] {
         group.bench_function(spec.to_string(), |b| {
             b.iter(|| black_box(run_single(&cfg, spec, &trace, &topo, SimRng::new(1))))
@@ -269,6 +305,7 @@ fn bench_summary_tables(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
+    bench_flows,
     bench_fig02_adsl,
     bench_fig03_fig04_trace,
     bench_fig05_sleep_probability,

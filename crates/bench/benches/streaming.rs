@@ -430,7 +430,7 @@ fn main() {
     match write_snapshot(
         path,
         &cfg,
-        "one event queue (binary heap) and one merge (packed heap)",
+        "allocation-free event loop (per-gateway flows, cached DSLAM counts)",
         &rows,
     ) {
         Ok(()) => println!("appended snapshot to {path}"),

@@ -55,15 +55,15 @@ pub fn decide(
     others: &[VisibleGateway],
     rng: &mut SimRng,
 ) -> Bh2Decision {
-    let candidates: Vec<&VisibleGateway> = others
-        .iter()
-        .filter(|g| g.load > params.low_threshold && g.load < params.high_threshold)
-        .collect();
+    // Move targets: loads strictly inside the (low, high) band.
+    let candidates =
+        others.iter().filter(|g| g.load > params.low_threshold && g.load < params.high_threshold);
+    let n_candidates = candidates.clone().count();
 
     if at_home {
         // Home is lightly loaded: try to vacate it so it can sleep.
-        if current_load < params.low_threshold && candidates.len() > params.backup {
-            return pick_weighted(&candidates, rng);
+        if current_load < params.low_threshold && n_candidates > params.backup {
+            return pick_weighted(candidates, rng);
         }
         return Bh2Decision::Stay;
     }
@@ -83,8 +83,8 @@ pub fn decide(
     // the user stays hitched (its traffic keeps the remote awake anyway);
     // `literal_return_home` enables the verbatim reading for ablation.
     if current_load < params.low_threshold {
-        if candidates.len() > params.backup {
-            return pick_weighted(&candidates, rng);
+        if n_candidates > params.backup {
+            return pick_weighted(candidates, rng);
         }
         if params.literal_return_home {
             return Bh2Decision::ReturnHome;
@@ -93,10 +93,13 @@ pub fn decide(
     Bh2Decision::Stay
 }
 
-fn pick_weighted(candidates: &[&VisibleGateway], rng: &mut SimRng) -> Bh2Decision {
-    let weights: Vec<f64> = candidates.iter().map(|g| g.load).collect();
-    match rng.pick_weighted(&weights) {
-        Some(i) => Bh2Decision::MoveTo(candidates[i].gateway),
+/// Picks a candidate with probability proportional to its load.
+fn pick_weighted<'a>(
+    mut candidates: impl Iterator<Item = &'a VisibleGateway> + Clone,
+    rng: &mut SimRng,
+) -> Bh2Decision {
+    match rng.pick_weighted_iter(candidates.clone().map(|g| g.load)) {
+        Some(i) => Bh2Decision::MoveTo(candidates.nth(i).expect("picked index").gateway),
         None => Bh2Decision::Stay,
     }
 }

@@ -273,6 +273,11 @@ impl ScenarioConfig {
         if !(self.trace.rate_scale > 0.0) || !self.trace.rate_scale.is_finite() {
             return Err(SimError::InvalidConfig("rate scale must be a positive number".into()));
         }
+        if !self.mean_networks_in_range.is_finite() {
+            return Err(SimError::InvalidConfig(
+                "mean networks in range must be a finite number".into(),
+            ));
+        }
         match self.topology {
             TopologyKind::Overlap if self.mean_networks_in_range < 1.0 => {
                 return Err(SimError::InvalidConfig(
@@ -304,8 +309,8 @@ impl ScenarioConfig {
                 self.dslam.ports_per_card
             )));
         }
-        if self.backhaul_bps <= 0.0 {
-            return Err(SimError::InvalidConfig("backhaul must be positive".into()));
+        if !(self.backhaul_bps > 0.0) || !self.backhaul_bps.is_finite() {
+            return Err(SimError::InvalidConfig("backhaul must be a positive number".into()));
         }
         if self.repetitions == 0 {
             return Err(SimError::InvalidConfig("need at least one repetition".into()));
@@ -458,6 +463,31 @@ mod tests {
         cfg.adaptive.max_timeout = SimDuration::from_secs(5);
         cfg.adaptive.min_timeout = SimDuration::from_secs(10);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_backhaul_and_density_are_rejected() {
+        // NaN compares false both ways, so a bare `<= 0.0` or `< 1.0`
+        // check lets it through to a run that completes no flow.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let mut cfg = ScenarioConfig::default();
+            cfg.backhaul_bps = bad;
+            let err = cfg.validate().unwrap_err().to_string();
+            assert!(err.contains("backhaul"), "backhaul {bad}: {err}");
+        }
+        for topology in [TopologyKind::Overlap, TopologyKind::Binomial] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut cfg = ScenarioConfig::default();
+                cfg.topology = topology;
+                cfg.mean_networks_in_range = bad;
+                let err = cfg.validate().unwrap_err().to_string();
+                assert!(err.contains("networks in range"), "{topology:?} density {bad}: {err}");
+            }
+            let mut cfg = ScenarioConfig::default();
+            cfg.topology = topology;
+            cfg.mean_networks_in_range = 0.5;
+            assert!(cfg.validate().is_err(), "{topology:?} density below 1");
+        }
     }
 
     #[test]

@@ -201,8 +201,14 @@ struct World<'a> {
     gateways: Vec<Gateway>,
     dslam: Dslam,
     engine: FlowEngine,
+    /// Whether carried bytes are metered into `gw_load` (BH2, its only
+    /// reader).
+    meter_load: bool,
     /// Per-gateway carried-bytes window (BH2's load estimate).
     gw_load: Vec<LoadWindow>,
+    /// BH2 scratch: the online gateways a terminal sees, with their loads
+    /// (reused by every epoch and hand-off).
+    visible: Vec<VisibleGateway>,
     /// Per-client offered-bytes window (Optimal's demand estimate).
     client_load: Vec<LoadWindow>,
     /// Arrival feed (slice cursor or flow stream), in arrival order.
@@ -224,6 +230,10 @@ struct World<'a> {
     route: Vec<usize>,
     /// Clients that decided to return home and wait for its wake.
     return_pending: Vec<bool>,
+    /// Home → clients index: the clients homed at gateway `g` are
+    /// `home_clients[home_start[g]..home_start[g + 1]]`, ascending.
+    home_start: Vec<usize>,
+    home_clients: Vec<usize>,
     /// Flows parked at a waking gateway.
     pending: Vec<Vec<PendingFlow>>,
     /// Outstanding idle-check token per gateway.
@@ -280,7 +290,9 @@ impl World<'_> {
     /// activity timestamp.
     fn deposit(&mut self, t: SimTime, gw: usize, bytes: f64) {
         if bytes > 0.0 {
-            self.gw_load[gw].add(t.as_millis(), bytes.round() as u64);
+            if self.meter_load {
+                self.gw_load[gw].add(t.as_millis(), bytes.round() as u64);
+            }
             self.gateways[gw].on_traffic(t);
         }
     }
@@ -437,23 +449,22 @@ impl World<'_> {
                 // idle; move to a usable online gateway in range (weighted
                 // by load, like the epoch rule) or fall back to waking home.
                 let now_ms = now.as_millis();
-                let mut cands: Vec<usize> = Vec::new();
-                let mut weights: Vec<f64> = Vec::new();
+                self.visible.clear();
                 for link in self.topo.reachable(client) {
                     let g = link.gateway;
                     if g != cur && self.gateways[g].is_online() {
                         let load = self.gw_load[g].load_fraction(now_ms, self.cfg.backhaul_bps);
                         if load < self.cfg.bh2.high_threshold {
-                            cands.push(g);
                             // Small floor keeps zero-load gateways pickable.
-                            weights.push(load.max(1e-3));
+                            self.visible.push(VisibleGateway { gateway: g, load: load.max(1e-3) });
                         }
                     }
                 }
-                match self.rng.pick_weighted(&weights) {
+                match self.rng.pick_weighted_iter(self.visible.iter().map(|v| v.load)) {
                     Some(i) => {
-                        self.route[client] = cands[i];
-                        cands[i]
+                        let g = self.visible[i].gateway;
+                        self.route[client] = g;
+                        g
                     }
                     None => {
                         self.route[client] = home;
@@ -596,6 +607,10 @@ pub fn run_single_source_threads(
 
     let n_samples = (horizon.as_millis() / cfg.sample_period.as_millis()) as usize;
     let total_flows = arrivals.total_flows();
+    let mut home_clients: Vec<usize> = (0..topo.n_clients()).collect();
+    home_clients.sort_by_key(|&c| topo.home_of(c));
+    let home_start =
+        (0..=n_gw).map(|g| home_clients.partition_point(|&c| topo.home_of(c) < g)).collect();
     let mut world = World {
         cfg,
         spec,
@@ -603,6 +618,8 @@ pub fn run_single_source_threads(
         gateways,
         dslam,
         engine: FlowEngine::new(n_gw),
+        meter_load: matches!(spec.aggregation, Aggregation::Bh2 { .. }),
+        visible: Vec::new(),
         gw_load: (0..n_gw).map(|_| LoadWindow::new(cfg.bh2.load_window.as_millis())).collect(),
         client_load: (0..topo.n_clients())
             .map(|_| LoadWindow::new(cfg.optimal_period.as_millis()))
@@ -613,6 +630,8 @@ pub fn run_single_source_threads(
         arrival_idx: 0,
         route: (0..topo.n_clients()).map(|c| topo.home_of(c)).collect(),
         return_pending: vec![false; topo.n_clients()],
+        home_start,
+        home_clients,
         optimal_plan,
         optimal_tick_idx: 0,
         pending: vec![Vec::new(); n_gw],
@@ -740,10 +759,10 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             }
             let moved = w.engine.advance(gw, now);
             w.deposit(now, gw, moved);
-            for done in w.engine.take_completed(gw) {
+            w.engine.drain_completed(gw, |done| {
                 w.active_flows -= 1;
                 w.completion.record(done.trace_idx, (now - done.arrival).as_secs_f64());
-            }
+            });
             w.resync_gateway(s, now, gw);
         }
         Ev::WakeDone { gw } => {
@@ -751,14 +770,14 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             let gw = gw as usize;
             w.gateways[gw].complete_wake(now);
             // Clients that were waiting to return to this home gateway.
-            for c in 0..w.return_pending.len() {
-                if w.return_pending[c] && w.topo.home_of(c) == gw {
+            let homed = &w.home_clients[w.home_start[gw]..w.home_start[gw + 1]];
+            for &c in homed {
+                if w.return_pending[c] {
                     w.route[c] = gw;
                     w.return_pending[c] = false;
                 }
             }
-            let queued = std::mem::take(&mut w.pending[gw]);
-            for f in queued {
+            for f in w.pending[gw].drain(..) {
                 let wireless = w.topo.rate_bps(f.client, gw).expect("pending flow client in range");
                 w.engine.add(now, gw, f.client, f.trace_idx, f.arrival, f.bytes, wireless);
             }
@@ -863,17 +882,17 @@ fn bh2_epoch(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, client: usi
     }
     let now_ms = now.as_millis();
     let cur_load = w.gw_load[cur].load_fraction(now_ms, w.cfg.backhaul_bps);
-    let mut others = Vec::new();
+    w.visible.clear();
     for link in w.topo.reachable(client) {
         let g = link.gateway;
         if g != cur && w.gateways[g].is_online() {
             let load = w.gw_load[g].load_fraction(now_ms, w.cfg.backhaul_bps);
-            others.push(VisibleGateway { gateway: g, load });
+            w.visible.push(VisibleGateway { gateway: g, load });
         }
     }
     let mut params = w.cfg.bh2;
     params.backup = backup;
-    match decide(&params, cur == home, cur_load, &others, &mut w.rng) {
+    match decide(&params, cur == home, cur_load, &w.visible, &mut w.rng) {
         Bh2Decision::Stay => {
             w.stats.bh2_stays += 1;
         }

@@ -131,7 +131,7 @@ proptest! {
             e.recompute(0, t, capacity);
             t += SimDuration::from_millis(gap_ds * 100);
             moved += e.advance(0, t);
-            e.take_completed(0);
+            e.drain_completed(0, |_| {});
         }
         // Drain the engine completely.
         let mut guard = 0;
@@ -142,7 +142,7 @@ proptest! {
             // Capacity respected: at most capacity × 1 s of bytes per step.
             prop_assert!(delta <= capacity / 8.0 + 1.0);
             moved += delta;
-            e.take_completed(0);
+            e.drain_completed(0, |_| {});
             guard += 1;
         }
         prop_assert_eq!(e.n_active(), 0, "engine failed to drain");

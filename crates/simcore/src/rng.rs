@@ -169,20 +169,35 @@ impl SimRng {
     /// Non-finite or negative weights are treated as zero. Returns `None` if
     /// all weights are zero or the slice is empty.
     pub fn pick_weighted(&mut self, weights: &[f64]) -> Option<usize> {
+        self.pick_weighted_iter(weights.iter().copied())
+    }
+
+    /// [`SimRng::pick_weighted`] over any re-iterable weight sequence: the
+    /// same draw and the same summation order, without collecting the
+    /// weights first. The iterator is walked twice (total, then pick).
+    pub fn pick_weighted_iter<I>(&mut self, weights: I) -> Option<usize>
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
         let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-        let total: f64 = weights.iter().copied().map(clean).sum();
+        let total: f64 = weights.clone().map(clean).sum();
         if total <= 0.0 {
             return None;
         }
         let mut x = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            x -= clean(w);
+        // Floating point slack: fall back to the last positive-weight index.
+        let mut last_positive = None;
+        for (i, w) in weights.enumerate() {
+            let w = clean(w);
+            x -= w;
             if x < 0.0 {
                 return Some(i);
             }
+            if w > 0.0 {
+                last_positive = Some(i);
+            }
         }
-        // Floating point slack: return the last positive-weight index.
-        weights.iter().rposition(|&w| clean(w) > 0.0)
+        last_positive
     }
 
     /// Exponential variate with the given mean (`mean = 1/λ`).
